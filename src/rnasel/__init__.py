@@ -11,7 +11,7 @@ from .clustering import (
     to_merge_dict,
     to_newick,
 )
-from .errors import ParameterError, ValidationError
+from .errors import NumericalError, ParameterError, ValidationError
 from .ingest import IngestReport, compute_ratios, load_matrix, load_meta, load_weights, replacement_value
 from .model import (
     Dendrogram,
@@ -47,6 +47,7 @@ __all__ = [
     "ExpressionMatrix",
     "GroundTruth",
     "IngestReport",
+    "NumericalError",
     "ObjectiveContext",
     "ObjectiveParams",
     "OracleResult",

@@ -26,6 +26,15 @@ import numpy as np
 # from-scratch paths classify degeneracy identically.
 REL_VAR_EPS = 1e-12
 
+# Correlations within a few ulps of +-1 are treated as exact: genuinely
+# colinear vectors land there only through rounding of the norm product.
+UNIT_SNAP = 32 * np.finfo(np.float64).eps
+
+
+def snap_unit(r):
+    """r with values within UNIT_SNAP of +-1 set to +-1; scalar or array."""
+    return np.where(np.abs(r) > 1.0 - UNIT_SNAP, np.copysign(1.0, r), r)
+
 
 def u1_from_sums(n, s1, s2, cp, iu, ju, w, count_pos, m, v):
     """Weighted mean absolute correlation from per-column and per-pair sums.

@@ -7,7 +7,7 @@ artifacts into one directory. A summary JSON collects the stable facts of
 all cells; wall-clock timings go to a separate timings file so reruns with
 the same seed are byte-identical.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 parameter error.
+Exit codes: 0 success, 2 validation error, 3 I/O error, 4 parameter error, 5 numerical error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import clustering, ingest, render, synth
 from .annealer import AnnealSchedule, run
-from .errors import ParameterError, ValidationError
+from .errors import NumericalError, ParameterError, ValidationError
 from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta, Selection
 from .objective import ObjectiveContext, ObjectiveParams
 from .oracle import exhaustive_optimum
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_PARAMETER = 4
+EXIT_NUMERICAL = 5
 
 _FORMATS = ("newick", "json", "svg", "all")
 _CLUSTER_MODES = ("ratios", "levels")
@@ -578,6 +579,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("i/o error: %s", exc)
         return EXIT_IO
+    except NumericalError as exc:
+        log.error("numerical error: %s", exc)
+        return EXIT_NUMERICAL
     return EXIT_PARAMETER
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import REL_VAR_EPS
-from .errors import ParameterError, ValidationError
+from ._kernels import REL_VAR_EPS, snap_unit
+from .errors import NumericalError, ParameterError, ValidationError
 from .model import Dendrogram
-from .objective import _snap_unit
 
 
 class ZeroVarianceProfileWarning(UserWarning):
@@ -89,72 +88,56 @@ def dissimilarity(labels, profiles) -> DissimilarityMatrix:
             f"constant profile for {bad}; dissimilarity to other samples set to 0.5",
             ZeroVarianceProfileWarning,
         )
-    d = np.zeros((s, s))
-    for i in range(s):
-        for j in range(i + 1, s):
-            if degenerate[i] or degenerate[j]:
-                r = 0.0
-            else:
-                r = float(np.dot(xc[i], xc[j])) / np.sqrt(ss[i] * ss[j])
-                r = _snap_unit(min(1.0, max(-1.0, r)))
-            d[i, j] = d[j, i] = min(1.0, max(0.0, (1.0 - r) / 2.0))
-    return DissimilarityMatrix(labels, d)
-
-
-def _tie_key(minlab_a: str, minlab_b: str) -> tuple[str, str]:
-    return (minlab_a, minlab_b) if minlab_a <= minlab_b else (minlab_b, minlab_a)
+    # constant profiles get a stand-in norm; their correlations are then set to 0
+    norm2 = np.where(degenerate, 1.0, ss)
+    r = snap_unit(np.clip(xc @ xc.T / np.sqrt(np.outer(norm2, norm2)), -1.0, 1.0))
+    r[np.logical_or.outer(degenerate, degenerate)] = 0.0
+    d = np.triu(np.clip((1.0 - r) / 2.0, 0.0, 1.0), 1)
+    return DissimilarityMatrix(labels, d + d.T)
 
 
 def average_linkage(d: DissimilarityMatrix) -> Dendrogram:
     """UPGMA-style agglomeration; merge height = mean cross-cluster distance.
 
-    Cluster-to-cluster distances are maintained with the size-weighted
-    update d(A+B, C) = (|A| d(A,C) + |B| d(B,C)) / (|A| + |B|), which equals
-    the unweighted mean over all cross pairs.
+    Each cluster pair keeps the sum of its cross-pair distances, updated on a
+    merge as sum(A+B, C) = sum(A, C) + sum(B, C); the height is that sum over
+    |A| |B|. Equal means of exactly summed distances are equal floats, so the
+    label tie rule sees every exact tie. A merged cluster takes over the slot
+    of one of its parts; slots no longer in use hold +inf means.
     """
     labels = d.labels
     s = len(labels)
-    size = {i: 1 for i in range(s)}
-    minlab = {i: labels[i] for i in range(s)}
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            dist[(i, j)] = float(d.d[i, j])
-    active = list(range(s))
+    total = np.array(d.d)
+    mean = np.array(d.d)
+    np.fill_diagonal(mean, np.inf)
+    size = np.ones(s)
+    active = np.ones(s, dtype=bool)
+    node_of = list(range(s))
+    # rank of each cluster's smallest label; labels are unique, so rank order is label order
+    rank = np.zeros(s, dtype=np.int64)
+    rank[sorted(range(s), key=labels.__getitem__)] = np.arange(s)
     merges = []
     prev_height = 0.0
-    for m in range(s - 1):
-        best_val = None
-        best_key = None
-        best_pair = None
-        for xi in range(len(active)):
-            for yi in range(xi + 1, len(active)):
-                a, b = active[xi], active[yi]
-                val = dist[(a, b)]
-                key = _tie_key(minlab[a], minlab[b])
-                if best_val is None or val < best_val or (val == best_val and key < best_key):
-                    best_val, best_key, best_pair = val, key, (a, b)
-        a, b = best_pair
-        height = best_val
+    for node in range(s, 2 * s - 1):
+        height = float(mean.min())
+        # exact ties go to the smallest (label, label) pair; a holds the smaller label
+        xs, ys = np.nonzero((mean == height) & (rank[:, None] < rank))
+        k = int(np.argmin(rank[xs] * s + rank[ys]))
+        a, b = int(xs[k]), int(ys[k])
         if height < prev_height - 1e-12:
-            raise RuntimeError(
+            raise NumericalError(
                 f"average linkage produced a height inversion: {height} after {prev_height}"
             )
         prev_height = height
-        node = s + m
-        for c in active:
-            if c == a or c == b:
-                continue
-            dac = dist.pop((min(a, c), max(a, c)))
-            dbc = dist.pop((min(b, c), max(b, c)))
-            dist[(c, node)] = (size[a] * dac + size[b] * dbc) / (size[a] + size[b])
-        dist.pop((a, b))
-        size[node] = size[a] + size[b]
-        minlab[node] = min(minlab[a], minlab[b])
-        left, right = (a, b) if minlab[a] <= minlab[b] else (b, a)
-        merges.append((left, right, height))
-        active = [c for c in active if c != a and c != b]
-        active.append(node)
+        merges.append((node_of[a], node_of[b], height))
+        node_of[a] = node  # slot a takes the merged cluster, which keeps a's rank
+        active[b] = False
+        size[a] += size[b]
+        total[a, :] = total[:, a] = total[a] + total[b]
+        row = np.where(active, total[a] / (size[a] * size), np.inf)
+        row[a] = np.inf
+        mean[a, :] = mean[:, a] = row
+        mean[b, :] = mean[:, b] = np.inf
     return Dendrogram(labels, tuple(merges))
 
 

@@ -12,3 +12,7 @@ class ValidationError(ValueError):
 
 class ParameterError(ValueError):
     """A configuration value or algorithm parameter is out of range."""
+
+
+class NumericalError(RuntimeError):
+    """A computation broke an invariant that exact arithmetic guarantees."""

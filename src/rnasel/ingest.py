@@ -57,86 +57,95 @@ def _delimiter(path, fmt: str | None) -> str:
     raise ValidationError(f"unknown format {fmt!r}, expected 'tsv' or 'csv'")
 
 
-def _read_rows(path, fmt: str | None) -> list[list[str]]:
+def _rows(path, fmt: str | None):
+    """Yield ``(line, cells)`` for each row that is not blank; ``line`` is the physical
+    line the row ends on, so blank lines count. Cells keep their whitespace."""
     delim = _delimiter(path, fmt)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [[cell.strip() for cell in row] for row in csv.reader(fh, delimiter=delim)]
+        reader = csv.reader(fh, delimiter=delim)
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield reader.line_num, row
 
 
-def _parse_level(token: str, path, line: int, column_id: str) -> float:
+def _open_rows(path, fmt: str | None, what: str):
+    """``(rows after the header, header line, stripped header cells)`` of a file."""
+    rows = _rows(path, fmt)
+    first = next(rows, None)
+    if first is None:
+        raise ValidationError(f"{path}: empty {what} file")
+    return rows, first[0], [cell.strip() for cell in first[1]]
+
+
+def _check_level(token: str, path, line: int, column_id: str) -> None:
     try:
         value = float(token)
     except ValueError:
-        raise ValidationError(
-            f"{path}:{line}: non-numeric value {token!r} in column {column_id!r}"
-        ) from None
+        raise ValidationError(f"{path}:{line}: non-numeric value {token!r} in column {column_id!r}") from None
     if not np.isfinite(value):
         raise ValidationError(f"{path}:{line}: non-finite value {token!r} in column {column_id!r}")
     if value < 0:
         raise ValidationError(f"{path}:{line}: negative value {token!r} in column {column_id!r}")
-    return value
 
 
 def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestReport]:
     """Parse and validate an expression matrix file.
 
     Features that are zero in every sample are dropped (they carry no signal
-    and break correlation) and listed in the report.
+    and break correlation) and listed in the report. Rows are checked as they
+    are read, so an error names the first offending cell in file order.
     """
-    rows = _read_rows(path, fmt)
-    rows = [r for r in rows if r and any(cell for cell in r)]
-    if not rows:
-        raise ValidationError(f"{path}: empty matrix file")
-    header = rows[0]
+    rows, line, header = _open_rows(path, fmt, "matrix")
     if header[0] != "feature_id":
-        raise ValidationError(f"{path}:1: first header field must be 'feature_id', got {header[0]!r}")
+        raise ValidationError(f"{path}:{line}: first header field must be 'feature_id', got {header[0]!r}")
     sample_ids = header[1:]
     if len(sample_ids) < 2:
-        raise ValidationError(f"{path}:1: need at least 2 sample columns")
+        raise ValidationError(f"{path}:{line}: need at least 2 sample columns")
     feature_ids = []
     values = []
     report = IngestReport()
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(sample_ids) + 1:
+    for line, row in rows:
+        if len(row) != len(header):
             raise ValidationError(
-                f"{path}:{line_no}: expected {len(sample_ids) + 1} fields, got {len(row)} (ragged row)"
+                f"{path}:{line}: expected {len(header)} fields, got {len(row)} (ragged row)"
             )
-        fid = row[0]
-        levels = [
-            _parse_level(tok, path, line_no, sample_ids[k]) for k, tok in enumerate(row[1:])
-        ]
-        if all(v == 0.0 for v in levels):
+        try:
+            levels = np.fromiter(map(float, row[1:]), np.float64, len(sample_ids))
+        except ValueError:
+            levels = None
+        if levels is None or not np.isfinite(levels).all() or (levels < 0).any():
+            # walk the row again only to name its first offending cell
+            for tok, sample_id in zip(row[1:], sample_ids):
+                _check_level(tok.strip(), path, line, sample_id)
+        fid = row[0].strip()
+        if not levels.any():
             report.dropped_features.append(fid)
             continue
         feature_ids.append(fid)
         values.append(levels)
     if report.dropped_features:
-        report.warnings.append(
-            f"dropped {len(report.dropped_features)} all-zero feature(s)"
-        )
+        report.warnings.append(f"dropped {len(report.dropped_features)} all-zero feature(s)")
     if len(feature_ids) < 2:
         raise ValidationError(f"{path}: fewer than 2 usable features after dropping all-zero rows")
-    matrix = ExpressionMatrix(tuple(feature_ids), tuple(sample_ids), np.array(values))
+    matrix = ExpressionMatrix(tuple(feature_ids), tuple(sample_ids), np.vstack(values))
     return matrix, report
 
 
-def _header_map(header: list[str], required: tuple[str, ...], path) -> dict[str, int]:
+def _header_map(header: list[str], required: tuple[str, ...], path, line: int) -> dict[str, int]:
     if sorted(header) != sorted(required):
         raise ValidationError(
-            f"{path}:1: expected columns {list(required)}, got {header}"
+            f"{path}:{line}: expected columns {list(required)}, got {header}"
         )
     return {name: header.index(name) for name in required}
 
 
 def load_meta(path, fmt: str | None = None) -> SampleMeta:
     """Parse sample metadata; id consistency with a matrix is checked at pairing time."""
-    rows = _read_rows(path, fmt)
-    rows = [r for r in rows if r and any(cell for cell in r)]
-    if not rows:
-        raise ValidationError(f"{path}: empty metadata file")
-    cols = _header_map(rows[0], _META_COLUMNS, path)
+    rows, line, header = _open_rows(path, fmt, "metadata")
+    cols = _header_map(header, _META_COLUMNS, path, line)
     records = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
+        row = [cell.strip() for cell in row]
         if len(row) != len(_META_COLUMNS):
             raise ValidationError(f"{path}:{line_no}: expected {len(_META_COLUMNS)} fields, got {len(row)}")
         rep_token = row[cols["replicate"]]
@@ -159,13 +168,11 @@ def load_meta(path, fmt: str | None = None) -> SampleMeta:
 def load_weights(path, fmt: str | None = None) -> list[tuple[str, str, int]]:
     """Parse explicit pair-weight entries; completion against the treated set
     and defaulting of unlisted pairs happen in PairWeights.from_entries."""
-    rows = _read_rows(path, fmt)
-    rows = [r for r in rows if r and any(cell for cell in r)]
-    if not rows:
-        raise ValidationError(f"{path}: empty weights file")
-    cols = _header_map(rows[0], _WEIGHT_COLUMNS, path)
+    rows, line, header = _open_rows(path, fmt, "weights")
+    cols = _header_map(header, _WEIGHT_COLUMNS, path, line)
     entries = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
+        row = [cell.strip() for cell in row]
         if len(row) != len(_WEIGHT_COLUMNS):
             raise ValidationError(f"{path}:{line_no}: expected {len(_WEIGHT_COLUMNS)} fields, got {len(row)}")
         token = row[cols["weight"]]

@@ -26,21 +26,9 @@ from . import _kernels
 from .errors import ParameterError, ValidationError
 from .model import ExpressionMatrix, PairWeights, RatioMatrix, feature_norms
 
-# Treat correlations within a few ulps of +-1 as exact: genuinely colinear
-# vectors land there only through rounding of the norm product.
-_UNIT_SNAP = 32 * np.finfo(np.float64).eps
-
 
 class DegeneratePairWarning(UserWarning):
     """A correlation was requested for a zero-variance vector."""
-
-
-def _snap_unit(r: float) -> float:
-    if r > 1.0 - _UNIT_SNAP:
-        return 1.0
-    if r < -1.0 + _UNIT_SNAP:
-        return -1.0
-    return r
 
 
 def pearson(x, y) -> float:
@@ -57,7 +45,7 @@ def pearson(x, y) -> float:
         warnings.warn("zero-variance vector in correlation, contributing 0", DegeneratePairWarning)
         return 0.0
     r = float(np.dot(xc, yc)) / np.sqrt(sx * sy)
-    return _snap_unit(min(1.0, max(-1.0, r)))
+    return float(_kernels.snap_unit(min(1.0, max(-1.0, r))))
 
 
 def pearson_abs(x, y) -> float:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clustering import DissimilarityMatrix, _tie_key
+from .clustering import DissimilarityMatrix
 from .errors import ParameterError
 from .model import Dendrogram, PairWeights, Selection
 from .objective import ObjectiveContext, ObjectiveParams
@@ -113,7 +113,7 @@ def naive_average_linkage(d: DissimilarityMatrix) -> Dendrogram:
                 val = float(np.mean(d.d[np.ix_(clusters[a], clusters[b])]))
                 la = min(d.labels[i] for i in clusters[a])
                 lb = min(d.labels[i] for i in clusters[b])
-                key = _tie_key(la, lb)
+                key = (min(la, lb), max(la, lb))
                 if best_val is None or val < best_val or (val == best_val and key < best_key):
                     best_val, best_key, best_pair = val, key, (a, b)
         a, b = best_pair

@@ -8,7 +8,8 @@ from rnasel.clustering import average_linkage, dissimilarity
 from rnasel.ingest import load_matrix, load_meta, load_weights
 from rnasel.model import PairWeights
 from rnasel.objective import ObjectiveContext, ObjectiveParams, eval_u
-from rnasel import ingest
+from rnasel import clustering, ingest
+from rnasel.errors import NumericalError
 
 
 @pytest.fixture()
@@ -194,6 +195,15 @@ class TestExitCodes:
     def test_n_larger_than_features_is_parameter_error(self, dataset, tmp_path):
         rc = main(run_args(dataset, tmp_path / "o", "--n", "10000", "--alpha", "0.2"))
         assert rc == 4
+
+    def test_height_inversion_is_numerical_error(self, dataset, tmp_path, monkeypatch, caplog):
+        def inverted(d):
+            raise NumericalError("average linkage produced a height inversion: 0.1 after 0.2")
+
+        monkeypatch.setattr(clustering, "average_linkage", inverted)
+        rc = main(run_args(dataset, tmp_path / "o", "--cluster-all-features"))
+        assert rc == 5
+        assert "height inversion" in caplog.text
 
 
 class TestReportGroups:

@@ -1,7 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from rnasel.clustering import (
     DissimilarityMatrix,
@@ -14,6 +19,7 @@ from rnasel.clustering import (
     to_newick,
 )
 from rnasel.errors import ParameterError, ValidationError
+from rnasel.oracle import naive_average_linkage
 
 
 def random_dissimilarity(rng, s):
@@ -21,6 +27,19 @@ def random_dissimilarity(rng, s):
     m = (m + m.T) / 2
     np.fill_diagonal(m, 0.0)
     return DissimilarityMatrix(tuple(f"s{i}" for i in range(s)), m)
+
+
+def two_pass_dissimilarity(profiles):
+    """(1 - r) / 2 pair by pair: mean first, then centred sums."""
+    s = len(profiles)
+    d = np.zeros((s, s))
+    for i in range(s):
+        for j in range(i + 1, s):
+            x = profiles[i] - profiles[i].mean()
+            y = profiles[j] - profiles[j].mean()
+            r = float(np.dot(x, y)) / math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
+            d[i, j] = d[j, i] = (1.0 - r) / 2.0
+    return d
 
 
 def hand_matrix():
@@ -55,6 +74,25 @@ class TestDissimilarity:
         assert np.array_equal(d.d, d.d.T)
         assert np.all(d.d >= 0.0) and np.all(d.d <= 1.0)
         assert np.all(np.diag(d.d) == 0.0)
+
+    def test_matches_per_pair_two_pass_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            s, length = int(rng.integers(2, 30)), int(rng.integers(2, 60))
+            scale = 10.0 ** rng.uniform(-3, 3, size=(s, 1))
+            profiles = rng.normal(size=(s, length)) * scale + rng.normal(size=(s, 1)) * scale
+            got = dissimilarity(tuple(f"s{i}" for i in range(s)), profiles)
+            np.testing.assert_allclose(got.d, two_pass_dissimilarity(profiles), rtol=0.0, atol=1e-14)
+
+    def test_exact_values_among_many_profiles(self):
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=50)
+        profiles = np.vstack([base, base, 7.0 - base, np.full(50, 3.0), rng.normal(size=(4, 50))])
+        with pytest.warns(ZeroVarianceProfileWarning):
+            d = dissimilarity(tuple(f"s{i}" for i in range(8)), profiles)
+        assert d.d[0, 1] == 0.0
+        assert d.d[0, 2] == 1.0 and d.d[1, 2] == 1.0
+        assert all(d.d[3, j] == 0.5 for j in range(8) if j != 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -132,6 +170,43 @@ class TestAverageLinkage:
         first = dend.merges[0]
         assert {dend.leaves[first[0]], dend.leaves[first[1]]} == {"a", "b"}
         assert first[0] == 1  # 'a' is the lexicographically smaller side
+
+
+# Multiples of 1/8 add exactly, so equal cross-cluster means are equal floats
+# in both implementations and the label tie rule decides every exact tie.
+@st.composite
+def quantised_dissimilarity(draw):
+    s = draw(st.integers(2, 16))
+    levels = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True))
+    upper = draw(st.lists(st.sampled_from(levels), min_size=s * (s - 1) // 2, max_size=s * (s - 1) // 2))
+    perm = draw(st.permutations(range(s)))
+    m = np.zeros((s, s))
+    m[np.triu_indices(s, 1)] = np.array(upper) / 8.0
+    return DissimilarityMatrix(tuple(f"s{p:02d}" for p in perm), m + m.T)
+
+
+class TestLinkageAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(quantised_dissimilarity())
+    def test_matches_oracle_merge_for_merge(self, d):
+        assert average_linkage(d).merges == naive_average_linkage(d).merges
+
+    def test_exact_tie_between_cluster_means(self):
+        # after three merges {s0,s1,s2} is 2/3 from both {s5} and {s3,s4};
+        # the tie goes to the smaller label pair (s0, s3)
+        q = [[0, 1, 3, 3, 2, 3], [1, 0, 1, 3, 3, 3], [3, 1, 0, 3, 2, 2],
+             [3, 3, 3, 0, 2, 3], [2, 3, 2, 2, 0, 3], [3, 3, 2, 3, 3, 0]]
+        d = DissimilarityMatrix(tuple(f"s{i}" for i in range(6)), np.array(q) / 4.0)
+        want = ((0, 1, 0.25), (6, 2, 0.5), (3, 4, 0.5), (7, 8, 2.0 / 3.0), (9, 5, 0.7))
+        assert average_linkage(d).merges == want == naive_average_linkage(d).merges
+
+    def test_heights_match_scipy_at_200_samples(self):
+        rng = np.random.default_rng(10)
+        profiles = rng.normal(size=(200, 40)) + np.repeat(rng.normal(size=(4, 40)), 50, axis=0)
+        d = dissimilarity(tuple(f"s{i:03d}" for i in range(200)), profiles)
+        got = np.sort([h for _, _, h in average_linkage(d).merges])
+        want = np.sort(linkage(squareform(d.d, checks=False), method="average")[:, 2])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestCut:

@@ -88,6 +88,72 @@ class TestLoadMatrix:
         with pytest.raises(OSError):
             load_matrix(tmp_path / "nope.tsv")
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        text = "feature_id\ts0\ts1\n\nf0\t1\t2\n\nf1\t-3\t1\n"
+        with pytest.raises(ValidationError, match=r"m\.tsv:5: negative value '-3' in column 's0'"):
+            load_matrix(write(tmp_path / "m.tsv", text))
+
+    def test_header_line_number_after_leading_blank_lines(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"m\.tsv:3: first header field"):
+            load_matrix(write(tmp_path / "m.tsv", "\n \t \ngene\ts0\ts1\nf0\t1\t2\n"))
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        negative_first = MATRIX_TSV.replace("3.5", "-1.5") + "f3\t1.0\n"
+        with pytest.raises(ValidationError, match=r"m\.tsv:3: negative value '-1\.5'"):
+            load_matrix(write(tmp_path / "m.tsv", negative_first))
+        ragged_first = "feature_id\ts0\ts1\nf0\t1\nf1\t-1\t2\n"
+        with pytest.raises(ValidationError, match=r"m\.tsv:2: expected 3 fields, got 2"):
+            load_matrix(write(tmp_path / "m.tsv", ragged_first))
+
+    def test_first_fault_within_a_row_wins(self, tmp_path):
+        cases = [
+            ("oops\tinf\t-1", "non-numeric value 'oops' in column 's0'"),
+            ("inf\toops\t-1", "non-finite value 'inf' in column 's0'"),
+            ("1\t-1\toops", "negative value '-1' in column 's1'"),
+            ("1\t2\tnan", "non-finite value 'nan' in column 's2'"),
+            ("1\t \t2", "non-numeric value '' in column 's1'"),
+        ]
+        for levels, message in cases:
+            text = f"feature_id\ts0\ts1\ts2\nf0\t1\t2\t3\nf1\t{levels}\n"
+            with pytest.raises(ValidationError, match=r"m\.tsv:3: " + message):
+                load_matrix(write(tmp_path / "m.tsv", text))
+
+    def test_values_equal_per_token_float(self, tmp_path):
+        rng = np.random.default_rng(7)
+        formats = ("{!r}", "{:.3e}", "{:.17g}", " {:.6f} ", "{:.0f}", "0")
+        for _ in range(5):
+            f, s = int(rng.integers(2, 30)), int(rng.integers(2, 9))
+            raw = rng.lognormal(0.0, 4.0, size=(f, s)).tolist()
+            tokens = [[formats[int(rng.integers(len(formats)))].format(v) for v in row] for row in raw]
+            for row in tokens:
+                if not any(float(tok) for tok in row):
+                    row[0] = "1"  # all-zero rows are dropped
+            lines = ["feature_id\t" + "\t".join(f"s{j}" for j in range(s))]
+            lines += [f"f{i}\t" + "\t".join(row) for i, row in enumerate(tokens)]
+            m, _ = load_matrix(write(tmp_path / "m.tsv", "\n".join(lines) + "\n"))
+            want = np.array([[float(tok) for tok in row] for row in tokens])
+            assert m.values.tobytes() == want.tobytes()
+
+    def test_unusual_tokens_parse_as_python_float(self, tmp_path):
+        tokens = ("1_0", "\u0661\u0662", "  2.5  ", "+4", "-0", "1e-320", "0.1")
+        text = "feature_id\t" + "\t".join(f"s{j}" for j in range(len(tokens))) + "\n"
+        text += "f0\t" + "\t".join(tokens) + "\nf1\t" + "\t".join("1" for _ in tokens) + "\n"
+        m, _ = load_matrix(write(tmp_path / "m.tsv", text))
+        assert m.values[0].tolist() == [float(tok) for tok in tokens]
+
+    def test_quoted_fields_whitespace_rows_and_padding(self, tmp_path):
+        text = (
+            'feature_id,"s0", s1 \n'
+            '"f,0", 1.5 ,"2"\n'
+            " , \n"
+            '  f1  ,"3",4\n'
+        )
+        m, report = load_matrix(write(tmp_path / "m.csv", text))
+        assert m.feature_ids == ("f,0", "f1")
+        assert m.sample_ids == ("s0", "s1")
+        assert m.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+        assert report.dropped_features == []
+
 
 class TestLoadMeta:
     def test_valid(self, tmp_path):
@@ -110,6 +176,11 @@ class TestLoadMeta:
         with pytest.raises(ValidationError, match="role"):
             load_meta(write(tmp_path / "meta.tsv", bad))
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        bad = "\n" + META_TSV.replace("c2\tcontrol\t\t2", "\nc2\tcontrol\t\tx")
+        with pytest.raises(ValidationError, match=r"meta\.tsv:5: replicate must be an integer"):
+            load_meta(write(tmp_path / "meta.tsv", bad))
+
     def test_column_order_free(self, tmp_path):
         text = (
             "role\tsample_id\tcontrol_id\treplicate\tcompound\n"
@@ -130,6 +201,11 @@ class TestLoadWeights:
     def test_bad_weight(self, tmp_path):
         text = "sample_a\tsample_b\tweight\na1\ta2\t5\n"
         with pytest.raises(ValidationError, match="weight"):
+            load_weights(write(tmp_path / "w.tsv", text))
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        text = "sample_a\tsample_b\tweight\n\na1\ta2\t1\n \t\na1\ta3\t2\n"
+        with pytest.raises(ValidationError, match=r"w\.tsv:5: weight must be"):
             load_weights(write(tmp_path / "w.tsv", text))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rnasel import _ckernel
+from rnasel import _ckernel, _kernels
 from rnasel.annealer import AnnealSchedule, run
 from rnasel.errors import ParameterError, ValidationError
 from rnasel.model import PairWeights
@@ -44,6 +44,13 @@ class TestPearsonAbs:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             pearson_abs([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_snap_unit_scalar_and_array(self):
+        eps = np.finfo(np.float64).eps
+        values = [1.0 - 4 * eps, -1.0 + 4 * eps, 1.0 - 64 * eps, 0.5, -0.25, 1.0, -1.0]
+        want = [1.0, -1.0, 1.0 - 64 * eps, 0.5, -0.25, 1.0, -1.0]
+        assert [float(_kernels.snap_unit(v)) for v in values] == want
+        assert _kernels.snap_unit(np.array(values)).tolist() == want
 
     @given(
         st.lists(st.floats(-100, 100), min_size=3, max_size=10),
