@@ -2,7 +2,7 @@
 annealing over a blended correlation/magnitude score, then classify samples
 by average-linkage clustering on a correlation dissimilarity."""
 
-from .annealer import AnnealSchedule, AnnealTrace, accept, chain_rng, initial_state, propose_swap, run
+from .annealer import AnnealSchedule, AnnealTrace, chain_rng, run
 from .clustering import (
     DissimilarityMatrix,
     average_linkage,
@@ -60,7 +60,6 @@ __all__ = [
     "SubsetState",
     "SynthSpec",
     "ValidationError",
-    "accept",
     "average_linkage",
     "chain_rng",
     "compute_ratios",
@@ -73,13 +72,11 @@ __all__ = [
     "feature_norm",
     "feature_norms",
     "generate",
-    "initial_state",
     "load_matrix",
     "load_meta",
     "load_weights",
     "naive_average_linkage",
     "pearson_abs",
-    "propose_swap",
     "replacement_value",
     "run",
     "swap_delta",

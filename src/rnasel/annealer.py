@@ -47,9 +47,9 @@ class AnnealSchedule:
     restarts: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.t_final < self.t_init):
+        if not (0.0 < self.t_final < self.t_init < math.inf):
             raise ParameterError(
-                f"need 0 < t_final < t_init, got t_final={self.t_final}, t_init={self.t_init}"
+                f"need 0 < t_final < t_init < inf, got t_final={self.t_final}, t_init={self.t_init}"
             )
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must be in (0, 1), got {self.gamma}")
@@ -107,33 +107,6 @@ class AnnealTrace:
 def chain_rng(seed: int, chain: int) -> np.random.Generator:
     """The generator used by one annealing chain of a seeded run."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
-
-
-def initial_state(context: ObjectiveContext, params: ObjectiveParams, rng: np.random.Generator) -> Selection:
-    """Uniformly random n-subset with its objective evaluated from scratch."""
-    if params.n > context.n_features:
-        raise ParameterError(f"n = {params.n} exceeds {context.n_features} features")
-    idx = np.sort(rng.choice(context.n_features, size=params.n, replace=False))
-    u, u1, u2 = eval_u(context, idx, params)
-    return Selection(tuple(int(i) for i in idx), u, u1, u2)
-
-
-def propose_swap(state: SubsetState, rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform (leave, enter) pair from the subset and its complement."""
-    if state.comp.size == 0:
-        raise ParameterError("subset equals the full feature set, nothing to swap in")
-    i = int(rng.integers(0, state.sel.size))
-    j = int(rng.integers(0, state.comp.size))
-    return int(state.sel[i]), int(state.comp[j])
-
-
-def accept(u_current: float, u_proposed: float, temperature: float, rng: np.random.Generator) -> bool:
-    """Metropolis rule: improve always, otherwise exp(-|dU|/T)."""
-    if temperature <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    if u_proposed > u_current:
-        return True
-    return rng.random() < math.exp(-(u_current - u_proposed) / temperature)
 
 
 def _run_chain(

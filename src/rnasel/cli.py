@@ -18,14 +18,14 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, ingest, render, synth
-from .annealer import AnnealSchedule, run
+from .annealer import _MAX_SEED, AnnealSchedule, run
 from .errors import NumericalError, ParameterError, ValidationError
 from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta, Selection
 from .objective import ObjectiveContext, ObjectiveParams
@@ -37,9 +37,6 @@ EXIT_IO = 3
 EXIT_PARAMETER = 4
 EXIT_NUMERICAL = 5
 
-_FORMATS = ("newick", "json", "svg", "all")
-_CLUSTER_MODES = ("ratios", "levels")
-
 log = logging.getLogger("rnasel")
 
 
@@ -50,99 +47,112 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARAMETER, f"{self.prog}: error: {message}\n")
 
 
+def _boolean(token: str) -> bool:
+    word = token.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {token!r}")
+
+
+def _option(default, parse, help, check=None, *, choices=None, repeat=False):
+    """Declare one ``rnasel run`` setting as a ``RunConfig`` field.
+
+    The flag is ``--`` plus the field name with ``_`` spelt ``-``; the config
+    file key is the field name (a ``-`` in it reads as ``_``). ``parse`` reads
+    one token of either; a ``_boolean`` setting is a bare flag, and a
+    ``repeat`` setting takes a repeated flag or a comma or space separated
+    list of distinct values. ``check`` is ``(test, description)`` of the
+    allowed values, applied by ``RunConfig`` however the value arrived.
+    """
+    if choices:
+        check = (choices.__contains__, "one of " + ", ".join(map(str, choices)))
+    metadata = {"parse": parse, "help": help, "check": check, "choices": choices, "repeat": repeat}
+    return field(default=default, metadata=metadata)
+
+
+_POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_SEED = (lambda v: isinstance(v, int) and 0 <= v < _MAX_SEED, "an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one pipeline invocation."""
+    """Fully resolved settings for one pipeline invocation; each field is one
+    option of ``rnasel run``, declared with ``_option``."""
 
-    matrix: str
-    meta: str
-    weights: str | None
-    n: tuple[int, ...]
-    alpha: tuple[float, ...]
-    t_init: float
-    t_final: float
-    gamma: float
-    swaps_per_temp: int
-    restarts: int
-    seed: int
-    default_weight: int
-    cluster_mode: str
-    cluster_all_features: bool
-    cut_k: int | None
-    out_dir: str
-    format: str
-    return_final: bool
-    scatter_compound: str | None
-    jobs: int
+    matrix: str | None = _option(None, str, "expression matrix file (tsv/csv)")
+    meta: str | None = _option(None, str, "sample metadata file")
+    weights: str | None = _option(None, str, "pair weights file (optional)")
+    n: tuple[int, ...] = _option((1000,), int, "subset size; repeat to sweep", _POSITIVE, repeat=True)
+    alpha: tuple[float, ...] = _option((0.2,), float, "blend weight; repeat to sweep", _UNIT, repeat=True)
+    t_init: float = _option(AnnealSchedule.t_init, float, "initial temperature")
+    t_final: float = _option(AnnealSchedule.t_final, float, "final temperature")
+    gamma: float = _option(AnnealSchedule.gamma, float, "cooling rate in (0, 1)")
+    swaps_per_temp: int = _option(AnnealSchedule.swaps_per_temperature, int, "proposals per temperature")
+    restarts: int = _option(AnnealSchedule.restarts, int, "independent chains per cell")
+    seed: int = _option(0, int, "run seed, an unsigned 64-bit integer", _SEED)
+    default_weight: int = _option(
+        1, int, "weight for pairs not listed in the weights file", choices=(-1, 0, 1)
+    )
+    cluster_mode: str = _option(
+        "ratios", str, "cluster log2 ratios (treated samples) or raw levels (all samples)",
+        choices=("ratios", "levels"),
+    )
+    cluster_all_features: bool = _option(False, _boolean, "skip selection and cluster on all features")
+    cut_k: int | None = _option(None, int, "also report the k-group cut", _POSITIVE)
+    out_dir: str = _option("out", str, "output directory")
+    format: str = _option("all", str, "dendrogram export format", choices=("newick", "json", "svg", "all"))
+    return_final: bool = _option(
+        False, _boolean, "report the final annealing state instead of the best one"
+    )
+    scatter_compound: str | None = _option(
+        None, str, "compound for the replicate scatter plot (default: first)"
+    )
+    jobs: int = _option(1, int, "concurrent sweep cells", _POSITIVE)
 
     def __post_init__(self):
-        if not self.n or not self.alpha:
-            raise ParameterError("sweep lists for n and alpha must be non-empty")
-        if any(not isinstance(v, int) or v < 1 for v in self.n):
-            raise ParameterError(f"every n must be a positive integer, got {self.n}")
-        if any(not 0.0 <= a <= 1.0 for a in self.alpha):
-            raise ParameterError(f"every alpha must be in [0, 1], got {self.alpha}")
-        if self.default_weight not in (-1, 0, 1):
-            raise ParameterError(f"default weight must be -1, 0 or 1, got {self.default_weight}")
-        if self.cluster_mode not in _CLUSTER_MODES:
-            raise ParameterError(f"cluster mode must be one of {_CLUSTER_MODES}, got {self.cluster_mode!r}")
-        if self.format not in _FORMATS:
-            raise ParameterError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.cut_k is not None and (not isinstance(self.cut_k, int) or self.cut_k < 1):
-            raise ParameterError(f"cut k must be a positive integer, got {self.cut_k!r}")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ParameterError(f"jobs must be a positive integer, got {self.jobs!r}")
         if not self.matrix or not self.meta:
-            raise ParameterError("matrix and metadata paths are required")
+            raise ParameterError("matrix and metadata paths are required (flags or config file)")
+        for f in fields(self):
+            value, opt = getattr(self, f.name), f.metadata
+            values = value if opt["repeat"] else (value,)
+            if opt["repeat"] and (not values or len(set(values)) != len(values)):
+                raise ParameterError(f"{f.name} needs one or more distinct values, got {value}")
+            if opt["check"] is None or (value is None and f.default is None):
+                continue
+            test, allowed = opt["check"]
+            if not all(test(v) for v in values):
+                raise ParameterError(f"{f.name} must be {allowed}, got {value!r}")
 
 
-_DEFAULTS = {
-    "weights": None,
-    "n": (1000,),
-    "alpha": (0.2,),
-    "t_init": 1.0,
-    "t_final": 1e-4,
-    "gamma": 0.999,
-    "swaps_per_temp": 1,
-    "restarts": 1,
-    "seed": 0,
-    "default_weight": 1,
-    "cluster_mode": "ratios",
-    "cluster_all_features": False,
-    "cut_k": None,
-    "out_dir": "out",
-    "format": "all",
-    "return_final": False,
-    "scatter_compound": None,
-    "jobs": 1,
-}
+def _add_options(p, names=None, required=()) -> None:
+    """Add the flags of the ``RunConfig`` fields in ``names`` (default all).
 
-_CONFIG_COERCE = {
-    "matrix": str,
-    "meta": str,
-    "weights": str,
-    "n": lambda s: tuple(int(tok) for tok in s.replace(",", " ").split()),
-    "alpha": lambda s: tuple(float(tok) for tok in s.replace(",", " ").split()),
-    "t_init": float,
-    "t_final": float,
-    "gamma": float,
-    "swaps_per_temp": int,
-    "restarts": int,
-    "seed": int,
-    "default_weight": int,
-    "cluster_mode": str,
-    "cluster_all_features": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "cut_k": int,
-    "out_dir": str,
-    "format": str,
-    "return_final": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "scatter_compound": str,
-    "jobs": int,
-}
+    Flags default to None, so ``resolve_config`` can tell a given flag from
+    an absent one.
+    """
+    for f in fields(RunConfig):
+        if names is not None and f.name not in names:
+            continue
+        opt = f.metadata
+        kwargs = {"dest": f.name, "required": f.name in required, "help": opt["help"]}
+        if opt["parse"] is _boolean:
+            kwargs.update(action="store_true", default=None)
+        else:
+            kwargs.update(type=opt["parse"], action="append" if opt["repeat"] else "store")
+            if f.default is not None:
+                shown = ",".join(map(str, f.default)) if opt["repeat"] else f.default
+                kwargs["help"] += f" (default: {shown})"
+        if opt["choices"]:
+            kwargs["metavar"] = "{" + ",".join(map(str, opt["choices"])) + "}"
+        p.add_argument("--" + f.name.replace("_", "-"), **kwargs)
 
 
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
+    options = {f.name: f.metadata for f in fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -153,28 +163,27 @@ def load_config_file(path) -> dict:
                 raise ParameterError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_COERCE:
+            value = value.strip()
+            if key not in options:
                 raise ParameterError(f"{path}:{line_no}: unknown config key {key!r}")
+            parse = options[key]["parse"]
             try:
-                values[key] = _CONFIG_COERCE[key](value.strip())
+                if options[key]["repeat"]:
+                    values[key] = tuple(parse(tok) for tok in value.replace(",", " ").split())
+                else:
+                    values[key] = parse(value)
             except ValueError:
-                raise ParameterError(f"{path}:{line_no}: bad value for {key!r}: {value.strip()!r}") from None
+                raise ParameterError(f"{path}:{line_no}: bad value for {key!r}: {value!r}") from None
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Precedence: command-line flags > config file > defaults."""
-    merged = dict(_DEFAULTS)
-    merged["matrix"] = None
-    merged["meta"] = None
-    if args.config:
-        merged.update(load_config_file(args.config))
-    for key in RunConfig.__dataclass_fields__:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = tuple(flag_value) if key in ("n", "alpha") else flag_value
-    if merged["matrix"] is None or merged["meta"] is None:
-        raise ParameterError("matrix and metadata paths are required (flags or config file)")
+    merged = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for f in fields(RunConfig):
+        given = getattr(args, f.name, None)
+        if given is not None:
+            merged[f.name] = tuple(given) if f.metadata["repeat"] else given
     return RunConfig(**merged)
 
 
@@ -363,15 +372,23 @@ def _run_cell(
     return key, entry, time.perf_counter() - started
 
 
-def run_pipeline(config: RunConfig) -> int:
-    out_root = Path(config.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+
+
+def _load_problem(config: RunConfig):
+    """Ingest, log2 ratios, pair weights and the objective context."""
     matrix, report = ingest.load_matrix(config.matrix)
     meta = ingest.load_meta(config.meta)
     entries = ingest.load_weights(config.weights) if config.weights else []
     ratio_matrix = ingest.compute_ratios(matrix, meta, report)
     weights = PairWeights.from_entries(ratio_matrix.treated_ids, entries, config.default_weight)
     context = ObjectiveContext.from_matrices(matrix, ratio_matrix)
+    return matrix, report, meta, ratio_matrix, weights, context
+
+
+def run_pipeline(config: RunConfig) -> int:
+    out_root = Path(config.out_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    matrix, report, meta, ratio_matrix, weights, context = _load_problem(config)
     for message in report.warnings:
         log.warning("%s", message)
     for sample_id, value, count in report.zero_replacements:
@@ -433,31 +450,16 @@ def run_pipeline(config: RunConfig) -> int:
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run the selection + clustering pipeline")
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--matrix", help="expression matrix file (tsv/csv)")
-    p.add_argument("--meta", help="sample metadata file")
-    p.add_argument("--weights", help="pair weights file (optional)")
-    p.add_argument("--n", action="append", type=int, help="subset size; repeat to sweep")
-    p.add_argument("--alpha", action="append", type=float, help="blend weight; repeat to sweep")
-    p.add_argument("--t-init", dest="t_init", type=float, help="initial temperature")
-    p.add_argument("--t-final", dest="t_final", type=float, help="final temperature")
-    p.add_argument("--gamma", type=float, help="cooling rate in (0, 1)")
-    p.add_argument("--swaps-per-temp", dest="swaps_per_temp", type=int, help="proposals per temperature")
-    p.add_argument("--restarts", type=int, help="independent chains per cell")
-    p.add_argument("--seed", type=int, help="run seed (unsigned 64-bit)")
-    p.add_argument("--default-weight", dest="default_weight", type=int, choices=(-1, 0, 1),
-                   help="weight for pairs not listed in the weights file")
-    p.add_argument("--cluster-mode", dest="cluster_mode", choices=_CLUSTER_MODES,
-                   help="cluster log2 ratios (treated samples) or raw levels (all samples)")
-    p.add_argument("--cluster-all-features", dest="cluster_all_features", action="store_true",
-                   default=None, help="skip selection and cluster on all features")
-    p.add_argument("--cut-k", dest="cut_k", type=int, help="also report the k-group cut")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--format", choices=_FORMATS, help="dendrogram export format")
-    p.add_argument("--return-final", dest="return_final", action="store_true", default=None,
-                   help="report the final annealing state instead of the best one")
-    p.add_argument("--scatter-compound", dest="scatter_compound",
-                   help="compound for the replicate scatter plot (default: first)")
-    p.add_argument("--jobs", type=int, help="concurrent sweep cells")
+    _add_options(p)
+
+
+# SynthSpec fields whose flags are spelt differently
+_SYNTH_FLAGS = {"n_features": "features", "n_informative": "informative"}
+
+
+def _synth_fields():
+    """(field, flag dest) of each ``SynthSpec`` field set by a numeric flag."""
+    return [(f, _SYNTH_FLAGS.get(f.name, f.name)) for f in fields(synth.SynthSpec) if f.name != "groups"]
 
 
 def _add_synth_parser(sub) -> None:
@@ -465,28 +467,15 @@ def _add_synth_parser(sub) -> None:
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--groups", default="G1:cmpA,cmpB;G2:cmpC,cmpD",
                    help="planted groups, e.g. 'G1:a,b;G2:c,d'")
-    p.add_argument("--replicates", type=int, default=2)
-    p.add_argument("--features", type=int, default=500)
-    p.add_argument("--informative", type=int, default=50)
-    p.add_argument("--effect-size", dest="effect_size", type=float, default=2.0)
-    p.add_argument("--compound-effect-sd", dest="compound_effect_sd", type=float, default=0.4)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.3)
-    p.add_argument("--control-noise-sd", dest="control_noise_sd", type=float, default=0.0)
-    p.add_argument("--baseline-log-mean", dest="baseline_log_mean", type=float, default=1.0)
-    p.add_argument("--baseline-log-sd", dest="baseline_log_sd", type=float, default=2.0)
-    p.add_argument("--zero-fraction", dest="zero_fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    for f, dest in _synth_fields():
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(f.default), default=f.default)
 
 
 def _add_oracle_parser(sub) -> None:
     # intentionally undocumented: exhaustive golden-file generation for tests
     p = sub.add_parser("oracle")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--weights")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--default-weight", dest="default_weight", type=int, choices=(-1, 0, 1), default=1)
+    _add_options(p, ("matrix", "meta", "weights", "n", "alpha", "default_weight"),
+                 required=("matrix", "meta", "n", "alpha"))
     p.add_argument("--out", required=True)
 
 
@@ -503,17 +492,7 @@ def _parse_groups(spec: str):
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = synth.SynthSpec(
         groups=_parse_groups(args.groups),
-        replicates=args.replicates,
-        n_features=args.features,
-        n_informative=args.informative,
-        effect_size=args.effect_size,
-        compound_effect_sd=args.compound_effect_sd,
-        noise_sd=args.noise_sd,
-        control_noise_sd=args.control_noise_sd,
-        baseline_log_mean=args.baseline_log_mean,
-        baseline_log_sd=args.baseline_log_sd,
-        zero_fraction=args.zero_fraction,
-        seed=args.seed,
+        **{f.name: getattr(args, dest) for f, dest in _synth_fields()},
     )
     matrix, meta, truth = synth.generate(spec)
     paths = synth.write_dataset(args.out_dir, matrix, meta, truth)
@@ -523,20 +502,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    matrix, report = ingest.load_matrix(args.matrix)
-    meta = ingest.load_meta(args.meta)
-    entries = ingest.load_weights(args.weights) if args.weights else []
-    ratio_matrix = ingest.compute_ratios(matrix, meta, report)
-    weights = PairWeights.from_entries(ratio_matrix.treated_ids, entries, args.default_weight)
-    context = ObjectiveContext.from_matrices(matrix, ratio_matrix)
-    params = ObjectiveParams(alpha=args.alpha, n=args.n, weights=weights)
+    config = resolve_config(args)
+    if len(config.n) != 1 or len(config.alpha) != 1:
+        raise ParameterError("the oracle takes one --n and one --alpha")
+    (n,), (alpha,) = config.n, config.alpha
+    matrix, _, _, _, weights, context = _load_problem(config)
+    params = ObjectiveParams(alpha=alpha, n=n, weights=weights)
     result = exhaustive_optimum(context, params)
     best: Selection = result.best_subset
     _write_json(
         args.out,
         {
-            "n": args.n,
-            "alpha": args.alpha,
+            "n": n,
+            "alpha": alpha,
             "u": best.objective,
             "u1": best.u1,
             "u2": best.u2,

@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rnasel.annealer import (
-    AnnealSchedule,
-    accept,
-    chain_rng,
-    initial_state,
-    propose_swap,
-    run,
-    _run_chain,
-)
+from rnasel import _ckernel, _kernels
+from rnasel.annealer import AnnealSchedule, chain_rng, run, _run_chain
 from rnasel.errors import ParameterError
-from rnasel.objective import ObjectiveParams, SubsetState, eval_u, swap_delta
+from rnasel.objective import ObjectiveContext, ObjectiveParams, SubsetState, eval_u, swap_delta
 
 from conftest import all_ones_weights, random_context
 
@@ -26,12 +19,12 @@ def small_problem(seed=0, f=12, g=6, n=4, alpha=0.2):
 
 
 def mirror_run(context, params, schedule, return_final=False, worsening_floor=1e-3):
-    """Reference chain built from the public ops, drawing the same rng stream
-    as the compiled batch kernel. Also counts clearly-worsening acceptances
-    at the final temperature."""
+    """Reference chain built from ``swap_delta`` and ``SubsetState.apply``,
+    drawing the same rng stream as the compiled batch kernel. Also counts
+    clearly-worsening acceptances at the final temperature."""
     rng = chain_rng(schedule.seed, 0)
-    start = initial_state(context, params, rng)
-    state = SubsetState.build(context, start.indices, params)
+    start = np.sort(rng.choice(context.n_features, size=params.n, replace=False))
+    state = SubsetState.build(context, start, params)
     cur_u = state.current_u()
     best_u = cur_u
     best_idx = state.indices()
@@ -42,9 +35,10 @@ def mirror_run(context, params, schedule, return_final=False, worsening_floor=1e
         temperature = schedule.temperature(step)
         accepted = 0
         for _ in range(schedule.swaps_per_temperature):
-            out_f, in_f = propose_swap(state, rng)
+            out_f = int(state.sel[rng.integers(0, params.n)])
+            in_f = int(state.comp[rng.integers(0, state.comp.size)])
             new_u, pending = swap_delta(context, state, out_f, in_f, params)
-            if accept(cur_u, new_u, temperature, rng):
+            if new_u > cur_u or rng.random() < math.exp(-(cur_u - new_u) / temperature):
                 state.apply(pending)
                 if step == last_step and new_u < cur_u - worsening_floor:
                     final_worsening += 1
@@ -58,6 +52,27 @@ def mirror_run(context, params, schedule, return_final=False, worsening_floor=1e
     return reported, rows, final_worsening
 
 
+def two_feature_state(norms, start):
+    """F = 2, n = 1, alpha = 1: u is the chosen feature's norm over the larger
+    one, and every proposal swaps the two features."""
+    ctx = ObjectiveContext(np.random.default_rng(0).normal(size=(2, 3)), np.array(norms), ("t0", "t1", "t2"))
+    params = ObjectiveParams(alpha=1.0, n=1, weights=all_ones_weights(ctx))
+    return SubsetState.build(ctx, [start], params)
+
+
+def reference_step(state, rng, swaps=1):
+    """``step(temperature)`` of the Python reference kernel on ``state``."""
+    return _kernels.stepper(state, state.sel.copy(), state.current_u(), rng, swaps)
+
+
+def chain_start(monkeypatch, ctx, params, rng):
+    """The subset ``_run_chain`` starts from: run it with a kernel that never moves."""
+    monkeypatch.setattr(_ckernel, "stepper", lambda *args: None)
+    monkeypatch.setattr(_kernels, "stepper", lambda state, best, cur_u, rng, swaps: lambda t: (cur_u, cur_u, 0))
+    selection, _ = _run_chain(ctx, params, AnnealSchedule(t_init=1.0, t_final=0.9, gamma=0.5), rng, True)
+    return selection
+
+
 class TestSchedule:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -68,6 +83,8 @@ class TestSchedule:
             AnnealSchedule(swaps_per_temperature=0)
         with pytest.raises(ParameterError):
             AnnealSchedule(seed=-1)
+        with pytest.raises(ParameterError):
+            AnnealSchedule(t_init=math.inf)
 
     def test_num_steps_matches_formula(self):
         sched = AnnealSchedule(t_init=1.0, t_final=1e-4, gamma=0.95)
@@ -88,48 +105,60 @@ class TestSchedule:
 
 class TestAccept:
     def test_improving_always(self):
-        rng = np.random.default_rng(0)
-        assert all(accept(0.2, 0.3, 1e-9, rng) for _ in range(100))
+        # from the 0.9-norm feature the only move improves u, even at T = 1e-9
+        for seed in range(100):
+            state = two_feature_state([1.0, 0.9], start=1)
+            _, _, accepted = reference_step(state, np.random.default_rng(seed))(1e-9)
+            assert accepted == 1 and list(state.sel) == [0]
 
     def test_equal_always(self):
-        rng = np.random.default_rng(0)
-        assert all(accept(0.2, 0.2, 0.5, rng) for _ in range(100))
+        state = two_feature_state([1.0, 1.0], start=0)
+        _, _, accepted = reference_step(state, np.random.default_rng(0), swaps=100)(0.5)
+        assert accepted == 100
 
     def test_worsening_frequency(self):
-        # drop of 0.1 at T = 1 accepted with probability exp(-0.1)
-        rng = np.random.default_rng(123)
-        trials = 20_000
-        hits = sum(accept(0.5, 0.4, 1.0, rng) for _ in range(trials))
-        p = math.exp(-0.1)
+        # from feature 0 the only move drops u from 1.0 to 0.9, accepted at
+        # T = 1 with probability exp(-0.1); from feature 1 it always returns
+        state = two_feature_state([1.0, 0.9], start=0)
+        step = reference_step(state, np.random.default_rng(123))
+        trials = hits = 0
+        while trials < 20_000:
+            worsening = state.sel[0] == 0
+            _, _, accepted = step(1.0)
+            if worsening:
+                trials += 1
+                hits += accepted
+        p = math.exp(-(1.0 - 0.9))
         sigma = math.sqrt(trials * p * (1 - p))
         assert abs(hits - trials * p) < 5 * sigma
 
     def test_temperature_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            accept(0.5, 0.4, 0.0, np.random.default_rng(0))
+        for t_final in (0.0, -0.5):
+            with pytest.raises(ParameterError):
+                AnnealSchedule(t_init=1.0, t_final=t_final)
 
 
 class TestInitialState:
-    def test_full_set_when_n_equals_f(self):
+    def test_full_set_when_n_equals_f(self, monkeypatch):
         ctx, _ = small_problem(f=6, n=6)
         params = ObjectiveParams(alpha=0.2, n=6, weights=all_ones_weights(ctx))
-        sel = initial_state(ctx, params, np.random.default_rng(0))
+        sel = chain_start(monkeypatch, ctx, params, np.random.default_rng(0))
         assert sel.indices == tuple(range(6))
 
-    def test_seed_determinism(self):
+    def test_seed_determinism(self, monkeypatch):
         ctx, params = small_problem()
-        a = initial_state(ctx, params, np.random.default_rng(99))
-        b = initial_state(ctx, params, np.random.default_rng(99))
+        a = chain_start(monkeypatch, ctx, params, np.random.default_rng(99))
+        b = chain_start(monkeypatch, ctx, params, np.random.default_rng(99))
         assert a == b
 
-    def test_uniform_membership(self):
+    def test_uniform_membership(self, monkeypatch):
         ctx, _ = small_problem(f=10, g=4)
         params = ObjectiveParams(alpha=0.0, n=3, weights=all_ones_weights(ctx))
         rng = np.random.default_rng(7)
         counts = np.zeros(10)
         draws = 10_000
         for _ in range(draws):
-            sel = initial_state(ctx, params, rng)
+            sel = chain_start(monkeypatch, ctx, params, rng)
             counts[list(sel.indices)] += 1
         # each feature present with probability n/F = 0.3
         sigma = math.sqrt(draws * 0.3 * 0.7)
@@ -139,45 +168,56 @@ class TestInitialState:
         ctx, _ = small_problem()
         params = ObjectiveParams(alpha=0.2, n=ctx.n_features + 1, weights=all_ones_weights(ctx))
         with pytest.raises(ParameterError):
-            initial_state(ctx, params, np.random.default_rng(0))
+            run(ctx, params, AnnealSchedule())
 
 
 class TestProposeSwap:
     def test_single_possible_swap(self):
-        ctx, _ = small_problem(f=2, g=3)
-        params = ObjectiveParams(alpha=0.2, n=1, weights=all_ones_weights(ctx))
-        state = SubsetState.build(ctx, [0], params)
-        rng = np.random.default_rng(0)
-        assert all(propose_swap(state, rng) == (0, 1) for _ in range(20))
+        state = two_feature_state([1.0, 1.0], start=0)
+        step = reference_step(state, np.random.default_rng(0))
+        for k in range(1, 21):
+            _, _, accepted = step(0.5)
+            assert accepted == 1 and list(state.sel) == [k % 2] and list(state.comp) == [1 - k % 2]
 
     def test_seed_reproducible(self):
         ctx, params = small_problem()
-        state = SubsetState.build(ctx, [0, 1, 2, 3], params)
-        seq_a = [propose_swap(state, np.random.default_rng(5)) for _ in range(1)]
-        seq_b = [propose_swap(state, np.random.default_rng(5)) for _ in range(1)]
-        assert seq_a == seq_b
+        states = [SubsetState.build(ctx, [0, 1, 2, 3], params) for _ in range(2)]
+        for state in states:
+            reference_step(state, np.random.default_rng(5))(1e9)
+        assert list(states[0].sel) == list(states[1].sel)
+        assert list(states[0].comp) == list(states[1].comp)
 
     def test_uniform_over_pairs(self):
-        ctx, _ = small_problem(f=4, g=3)
-        params = ObjectiveParams(alpha=0.2, n=2, weights=all_ones_weights(ctx))
+        # equal norms and alpha = 1 accept every move, so each step shows
+        # which (subset, complement) positions it swapped
+        ctx = ObjectiveContext(np.random.default_rng(0).normal(size=(4, 3)), np.ones(4), ("t0", "t1", "t2"))
+        params = ObjectiveParams(alpha=1.0, n=2, weights=all_ones_weights(ctx))
         state = SubsetState.build(ctx, [0, 1], params)
-        rng = np.random.default_rng(11)
+        step = reference_step(state, np.random.default_rng(11))
         counts = {}
         draws = 10_000
         for _ in range(draws):
-            pair = propose_swap(state, rng)
+            sel, comp = state.sel.copy(), state.comp.copy()
+            step(0.5)
+            pair = (int(np.flatnonzero(sel != state.sel)[0]), int(np.flatnonzero(comp != state.comp)[0]))
             counts[pair] = counts.get(pair, 0) + 1
-        assert set(counts) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         sigma = math.sqrt(draws * 0.25 * 0.75)
         for pair, count in counts.items():
             assert abs(count - draws * 0.25) < 5 * sigma
 
-    def test_full_subset_rejected(self):
+    def test_full_subset_rejected(self, monkeypatch):
+        # a full subset has no complement, so no kernel is ever asked to swap
+        def no_kernel(*args):
+            raise AssertionError("swap kernel called on a full subset")
+
+        monkeypatch.setattr(_ckernel, "stepper", no_kernel)
+        monkeypatch.setattr(_kernels, "stepper", no_kernel)
         ctx, _ = small_problem(f=4, g=3)
         params = ObjectiveParams(alpha=0.2, n=4, weights=all_ones_weights(ctx))
-        state = SubsetState.build(ctx, [0, 1, 2, 3], params)
-        with pytest.raises(ParameterError):
-            propose_swap(state, np.random.default_rng(0))
+        sel, rows = _run_chain(ctx, params, AnnealSchedule(), np.random.default_rng(0), False)
+        assert sel.indices == (0, 1, 2, 3)
+        assert all(row.accepted_count == 0 for row in rows)
 
 
 class TestRun:
@@ -198,7 +238,7 @@ class TestRun:
         assert trace_a.rows == trace_b.rows
 
     def test_matches_public_op_mirror(self):
-        # the compiled batch loop and the public propose/swap/accept ops must
+        # the compiled batch loop and swap_delta/SubsetState.apply must
         # produce the same trajectory from the same generator stream
         ctx, params = small_problem(seed=2)
         schedule = AnnealSchedule(t_init=1.0, t_final=1e-2, gamma=0.85, swaps_per_temperature=25, seed=7)

@@ -1,15 +1,16 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rnasel.cli import main, report_groups
+from rnasel.cli import RunConfig, build_parser, main, report_groups, resolve_config
 from rnasel.clustering import average_linkage, dissimilarity
 from rnasel.ingest import load_matrix, load_meta, load_weights
 from rnasel.model import PairWeights
 from rnasel.objective import ObjectiveContext, ObjectiveParams, eval_u
 from rnasel import clustering, ingest
-from rnasel.errors import NumericalError
+from rnasel.errors import NumericalError, ParameterError
 
 
 @pytest.fixture()
@@ -132,7 +133,71 @@ class TestRunCommand:
         assert best["u"] >= final["u"] - 1e-12
 
 
+# two distinct values of each `rnasel run` option, as config-file text; the
+# first is not the default
+OPTION_SAMPLES = {
+    "matrix": ("m1.tsv", "m2.tsv"),
+    "meta": ("meta1.tsv", "meta2.tsv"),
+    "weights": ("w1.tsv", "w2.tsv"),
+    "n": ("8, 6", "4"),
+    "alpha": ("0.0 0.3", "0.1"),
+    "t_init": ("2.0", "3.0"),
+    "t_final": ("0.01", "0.02"),
+    "gamma": ("0.9", "0.8"),
+    "swaps_per_temp": ("5", "7"),
+    "restarts": ("2", "3"),
+    "seed": ("18446744073709551615", "4"),
+    "default_weight": ("-1", "0"),
+    "cluster_mode": ("levels", "ratios"),
+    "cluster_all_features": ("YES", "off"),
+    "cut_k": ("2", "3"),
+    "out_dir": ("o1", "o2"),
+    "format": ("svg", "newick"),
+    "return_final": ("on", "0"),
+    "scatter_compound": ("cmpA", "cmpB"),
+    "jobs": ("2", "3"),
+}
+
+
+def resolve(tmp_path, argv=(), lines=""):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("matrix = m.tsv\nmeta = meta.tsv\n" + lines, encoding="utf-8")
+    return resolve_config(build_parser().parse_args(["run", "--config", str(cfg), *argv]))
+
+
+def flag_args(option, text):
+    flag = "--" + option.name.replace("_", "-")
+    if isinstance(option.default, bool):
+        return [flag]
+    return [arg for token in text.replace(",", " ").split() for arg in (flag, token)]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("option", fields(RunConfig), ids=lambda f: f.name)
+    def test_file_and_flag_resolve_alike(self, tmp_path, option):
+        first, second = OPTION_SAMPLES[option.name]
+        by_file = resolve(tmp_path, lines=f"{option.name} = {first}\n")
+        assert getattr(by_file, option.name) != option.default
+        assert resolve(tmp_path, lines=f"{option.name.replace('_', '-')} = {first}\n") == by_file
+        assert resolve(tmp_path, flag_args(option, first)) == by_file
+        both = resolve(tmp_path, flag_args(option, first), f"{option.name} = {second}\n")
+        assert both == by_file  # the flag wins over the file
+
+    def test_boolean_spellings(self, tmp_path):
+        config = resolve(tmp_path, lines="cluster_all_features = True\nreturn_final = No\n")
+        assert config.cluster_all_features is True and config.return_final is False
+        with pytest.raises(ParameterError, match=r"run\.cfg:3: bad value for 'cluster_all_features'"):
+            resolve(tmp_path, lines="cluster_all_features = ture\n")
+
+    @pytest.mark.parametrize("line", ["seed = -1", "n = 8, 8", "alpha = 0.2 0.20", "return_final = of"])
+    def test_bad_value_is_parameter_error(self, dataset, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            f"matrix = {dataset / 'matrix.tsv'}\nmeta = {dataset / 'meta.tsv'}\nn = 8\n{line}\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
+
     def test_file_plus_flag_precedence(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -183,6 +248,16 @@ class TestExitCodes:
     def test_bad_alpha_is_parameter_error(self, dataset, tmp_path):
         rc = main(run_args(dataset, tmp_path / "o", "--n", "8", "--alpha", "1.5"))
         assert rc == 4
+
+    @pytest.mark.parametrize("extra", [
+        ("--n", "8", "--seed", "-1"),
+        ("--n", "8", "--seed", str(2**64)),
+        ("--n", "8", "--t-init", "inf"),
+        ("--n", "8", "--n", "8"),
+        ("--n", "8", "--alpha", "0.2", "--alpha", "0.20", "--jobs", "2"),
+    ], ids=["negative-seed", "seed-2^64", "infinite-t-init", "repeated-n", "repeated-alpha"])
+    def test_out_of_range_setting_is_parameter_error(self, dataset, tmp_path, extra):
+        assert main(run_args(dataset, tmp_path / "o", *extra)) == 4
 
     def test_missing_required_paths_is_parameter_error(self, tmp_path):
         assert main(["run", "--out-dir", str(tmp_path / "o")]) == 4
