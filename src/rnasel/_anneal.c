@@ -1,5 +1,5 @@
-/* One temperature step of Metropolis swap moves: the C twin of
- * rnasel._kernels.anneal_batch.
+/* One annealing chain of Metropolis swap moves: the C twin of
+ * rnasel._kernels.anneal_chain.
  *
  * Every floating-point operation is written in the order of the Python
  * reference, and the library is built with -ffp-contract=off and without
@@ -84,7 +84,8 @@ static double u1_from_sums(const chain_t *c)
     return acc / c->count_pos;
 }
 
-int64_t rnasel_anneal_batch(chain_t *c, bitgen_t *bg, double temperature, int64_t n_swaps)
+/* n_swaps proposals at one temperature; returns how many were accepted. */
+static int64_t anneal_step(chain_t *c, bitgen_t *bg, double temperature, int64_t n_swaps)
 {
     int64_t accepted = 0;
     for (int64_t s = 0; s < n_swaps; s++) {
@@ -126,4 +127,17 @@ int64_t rnasel_anneal_batch(chain_t *c, bitgen_t *bg, double temperature, int64_
         }
     }
     return accepted;
+}
+
+/* Every step of the chain: n_swaps proposals at each of the n_steps
+ * temperatures, writing the current u, the best u and the accepted count
+ * after each step. */
+void rnasel_anneal_chain(chain_t *c, bitgen_t *bg, const double *temperatures, int64_t n_steps,
+                         int64_t n_swaps, double *cur_u, double *best_u, int64_t *accepted)
+{
+    for (int64_t k = 0; k < n_steps; k++) {
+        accepted[k] = anneal_step(c, bg, temperatures[k], n_swaps);
+        cur_u[k] = c->cur_u;
+        best_u[k] = c->best_u;
+    }
 }

@@ -1,10 +1,11 @@
 """The C swap kernel (``_anneal.c``): build, cache, load and bind.
 
-The kernel runs one temperature step of swap moves, exactly as the Python
-reference ``_kernels.anneal_batch`` does, and gives the same bits: the same
-floating-point operations in the same order, libm's ``exp`` and ``sqrt``, and
-the chain's own PCG64 stream, read through numpy's public ``bitgen_t``
-interface with ``Generator.integers``' bounded-draw rule.
+The kernel runs every temperature step of one chain of swap moves in one
+call, exactly as the Python reference ``_kernels.anneal_chain`` does, and
+gives the same bits: the same floating-point operations in the same order,
+libm's ``exp`` and ``sqrt``, and the chain's own PCG64 stream, read through
+numpy's public ``bitgen_t`` interface with ``Generator.integers``'
+bounded-draw rule. ctypes releases the GIL for the call.
 
 On first use the source is compiled with the system C compiler and the
 library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
@@ -137,10 +138,11 @@ def _load_once():
         lib = ctypes.CDLL(str(_build(cache_dir())))
         lib.rnasel_bounded.argtypes = (ctypes.c_void_p, ctypes.c_int64)
         lib.rnasel_bounded.restype = ctypes.c_int64
-        lib.rnasel_anneal_batch.argtypes = (
-            ctypes.POINTER(Chain), ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+        lib.rnasel_anneal_chain.argtypes = (
+            ctypes.POINTER(Chain), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         )
-        lib.rnasel_anneal_batch.restype = ctypes.c_int64
+        lib.rnasel_anneal_chain.restype = None
         _probe(lib)
     except (_Unavailable, OSError, AttributeError, subprocess.TimeoutExpired) as exc:
         warnings.warn(
@@ -166,11 +168,13 @@ def _address(array: np.ndarray, dtype) -> int:
     return array.ctypes.data
 
 
-def stepper(state, best_sel: np.ndarray, cur_u: float, rng: np.random.Generator, swaps: int):
-    """One temperature step in C, as ``_kernels.stepper``; None if unavailable.
+def anneal_chain(
+    state, best_sel: np.ndarray, rng: np.random.Generator, temperatures, swaps: int, cur_u: float
+):
+    """Every temperature step of one chain in C, as ``_kernels.anneal_chain``.
 
-    The returned ``step(temperature)`` updates ``state`` and ``best_sel`` in
-    place and returns ``(cur_u, best_u, accepted)``.
+    Updates ``state`` and ``best_sel`` in place and returns the per-step
+    lists (cur_u, best_u, accepted), or None if the kernel is unavailable.
     """
     context, pair = state.context, state.pair
     if context.n_features > MAX_BOUND:
@@ -179,27 +183,26 @@ def stepper(state, best_sel: np.ndarray, cur_u: float, rng: np.random.Generator,
     if lib is None:
         return None
     f64, i64 = np.float64, np.int64
+    g, p = context.n_treated, len(pair.iu)
+    scratch = [np.empty(size) for size in (g, g, p, g, g)]  # t_s1, t_s2, t_cp, m, v
+    temperatures = np.array(temperatures, dtype=f64)
+    steps = len(temperatures)
+    cur_trace, best_trace, accepted_trace = np.empty(steps), np.empty(steps), np.empty(steps, dtype=i64)
     chain = Chain(
         _address(context.ratios, f64), _address(context.norms, f64),
         _address(pair.iu, i64), _address(pair.ju, i64), _address(pair.w, f64),
         _address(state.sel, i64), _address(state.comp, i64), _address(best_sel, i64),
         _address(state.s1, f64), _address(state.s2, f64), _address(state.cp, f64),
-        _address(state._t_s1, f64), _address(state._t_s2, f64), _address(state._t_cp, f64),
-        _address(state._m, f64), _address(state._v, f64),
-        context.n_treated, len(pair.iu), state.n, state.comp.size,
+        *(array.ctypes.data for array in scratch),
+        g, p, state.n, state.comp.size,
         context.max_norm, state.alpha, pair.count_positive, REL_VAR_EPS,
         state.norm_sum, cur_u, cur_u,
     )
-    chain_ref = ctypes.byref(chain)
-    bitgen = rng.bit_generator.ctypes.bit_generator
-    lock = rng.bit_generator.lock
-    batch = lib.rnasel_anneal_batch
-
-    def step(temperature):
-        # the arrays behind the chain's pointers are owned by state and best_sel
-        with lock:
-            accepted = batch(chain_ref, bitgen, temperature, swaps)
-        state.norm_sum = chain.norm_sum
-        return chain.cur_u, chain.best_u, accepted
-
-    return step
+    with rng.bit_generator.lock:
+        lib.rnasel_anneal_chain(
+            ctypes.byref(chain), rng.bit_generator.ctypes.bit_generator,
+            temperatures.ctypes.data, steps, swaps,
+            cur_trace.ctypes.data, best_trace.ctypes.data, accepted_trace.ctypes.data,
+        )
+    state.norm_sum = chain.norm_sum
+    return cur_trace.tolist(), best_trace.tolist(), accepted_trace.tolist()

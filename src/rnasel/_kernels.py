@@ -2,20 +2,20 @@
 
 The swap move changes one feature, so the per-pair correlation sums can be
 updated in O(pairs) instead of O(n * pairs). Everything here operates on the
-raw sum arrays owned by a single annealing chain; the public API lives in
+running sums of a single annealing chain; the public API lives in
 ``objective`` and ``annealer``.
 
-``anneal_batch`` has a C twin in ``_anneal.c`` (loaded by ``_ckernel``) that
+``anneal_chain`` has a C twin in ``_anneal.c`` (loaded by ``_ckernel``) that
 the annealer runs when it can be built. The two use the same operation order,
-libm's ``exp`` and ``sqrt`` (hence ``math.exp`` here, not numpy's SIMD
-``np.exp``) and the same random stream, so they give the same bits; this
-module is the reference the C kernel is tested against and the fallback when
-no C compiler is available.
+correctly rounded ``sqrt`` and libm's ``exp`` (hence ``math.exp`` here, not
+numpy's SIMD ``np.exp``) and the same random stream, so they give the same
+bits; this module is the reference the C kernel is tested against and the
+fallback when no C compiler is available.
 """
 
 from __future__ import annotations
 
-import math
+from math import exp, sqrt
 
 import numpy as np
 
@@ -36,33 +36,30 @@ def snap_unit(r):
     return np.where(np.abs(r) > 1.0 - UNIT_SNAP, np.copysign(1.0, r), r)
 
 
-def u1_from_sums(n, s1, s2, cp, iu, ju, w, count_pos, m, v):
+def u1_from_sums(n, s1, s2, cp, pairs, count_pos):
     """Weighted mean absolute correlation from per-column and per-pair sums.
 
     s1/s2 are per-column sums and sums of squares over the subset, cp the
-    per-pair cross-product sums (pairs enumerated by iu/ju). m and v are
-    scratch buffers of length G.
+    per-pair cross-product sums, in the order of ``pairs``: the (i, j, w) of
+    each pair of columns.
     """
     inv = 1.0 / n
-    for g in range(s1.shape[0]):
-        mean = s1[g] * inv
-        m[g] = mean
-        mean_sq = s2[g] * inv
+    m = []
+    v = []
+    for a, b in zip(s1, s2):
+        mean = a * inv
+        mean_sq = b * inv
         var = mean_sq - mean * mean
-        if var <= REL_VAR_EPS * mean_sq:
-            var = 0.0
-        v[g] = var
+        m.append(mean)
+        v.append(0.0 if var <= REL_VAR_EPS * mean_sq else var)
     acc = 0.0
-    for p in range(iu.shape[0]):
-        wp = w[p]
+    for (i, j, wp), c in zip(pairs, cp):
         if wp == 0.0:
             continue
-        i = iu[p]
-        j = ju[p]
         dv = v[i] * v[j]
         if dv <= 0.0:
             continue
-        r = (cp[p] * inv - m[i] * m[j]) / np.sqrt(dv)
+        r = (c * inv - m[i] * m[j]) / sqrt(dv)
         if r > 1.0:
             r = 1.0
         elif r < -1.0:
@@ -71,134 +68,84 @@ def u1_from_sums(n, s1, s2, cp, iu, ju, w, count_pos, m, v):
     return acc / count_pos
 
 
-def trial_swap(
-    ratios,
-    norms,
-    max_norm,
-    alpha,
-    n,
-    iu,
-    ju,
-    w,
-    count_pos,
-    s1,
-    s2,
-    cp,
-    norm_sum,
-    out_f,
-    in_f,
-    t_s1,
-    t_s2,
-    t_cp,
-    m,
-    v,
-):
-    """Objective after swapping out_f for in_f, without committing.
+class ListChain:
+    """The constants and running sums of one chain as Python numbers and lists.
 
-    Writes the candidate sums into t_s1/t_s2/t_cp and returns
-    (new_u, new_norm_sum).
+    The interpreted loop runs about three times faster on these than on
+    numpy scalars, and does the same IEEE operations, so it gives the same
+    bits. Swaps are scored with blend weight ``alpha``.
     """
-    for g in range(s1.shape[0]):
-        a = ratios[in_f, g]
-        b = ratios[out_f, g]
-        t_s1[g] = s1[g] + a - b
-        t_s2[g] = s2[g] + a * a - b * b
-    for p in range(iu.shape[0]):
-        gi = iu[p]
-        gj = ju[p]
-        t_cp[p] = cp[p] + ratios[in_f, gi] * ratios[in_f, gj] - ratios[out_f, gi] * ratios[out_f, gj]
-    new_norm_sum = norm_sum + norms[in_f] - norms[out_f]
-    u1 = u1_from_sums(n, t_s1, t_s2, t_cp, iu, ju, w, count_pos, m, v)
-    u2 = new_norm_sum / (n * max_norm)
-    return (1.0 - alpha) * u1 + alpha * u2, new_norm_sum
+
+    __slots__ = ("n", "alpha", "max_norm", "pairs", "count_pos", "s1", "s2", "cp", "norm_sum")
+
+    def __init__(self, state, alpha):
+        self.n = state.n
+        self.alpha = alpha
+        self.max_norm = state.context.max_norm
+        self.pairs = state.pair.triples()
+        self.count_pos = state.pair.count_positive
+        self.s1 = state.s1.tolist()
+        self.s2 = state.s2.tolist()
+        self.cp = state.cp.tolist()
+        self.norm_sum = state.norm_sum
+
+    def trial_swap(self, a, b, norm_in, norm_out):
+        """Objective after swapping the feature with ratio row b and norm
+        norm_out for the one with row a and norm norm_in, without committing.
+
+        Returns (new_u, (s1, s2, cp, norm_sum)), the candidate sums as lists.
+        """
+        s1 = [x + p - q for x, p, q in zip(self.s1, a, b)]
+        s2 = [x + p * p - q * q for x, p, q in zip(self.s2, a, b)]
+        cp = [x + a[i] * a[j] - b[i] * b[j] for x, (i, j, _) in zip(self.cp, self.pairs)]
+        norm_sum = self.norm_sum + norm_in - norm_out
+        u1 = u1_from_sums(self.n, s1, s2, cp, self.pairs, self.count_pos)
+        u2 = norm_sum / (self.n * self.max_norm)
+        return (1.0 - self.alpha) * u1 + self.alpha * u2, (s1, s2, cp, norm_sum)
 
 
-def anneal_batch(
-    rng,
-    ratios,
-    norms,
-    max_norm,
-    alpha,
-    n,
-    iu,
-    ju,
-    w,
-    count_pos,
-    sel,
-    comp,
-    s1,
-    s2,
-    cp,
-    norm_sum,
-    cur_u,
-    temperature,
-    n_swaps,
-    best_u,
-    best_sel,
-    t_s1,
-    t_s2,
-    t_cp,
-    m,
-    v,
-):
-    """One temperature batch of Metropolis swap moves, in place.
+def anneal_chain(state, best_sel, rng, temperatures, swaps, cur_u):
+    """Every temperature step of one chain of Metropolis swap moves.
 
-    Draw order per proposal: position into the subset, position into the
-    complement, then one uniform draw only when the move does not improve.
-    Returns (norm_sum, cur_u, best_u, accepted_count).
+    Runs ``swaps`` proposals at each temperature, starting from ``state``
+    with objective ``cur_u``. Draw order per proposal: position into the
+    subset, position into the complement, then one uniform draw only when
+    the move does not improve. Updates ``state`` and ``best_sel`` in place
+    and returns the per-step lists (cur_u, best_u, accepted).
     """
-    n_comp = comp.shape[0]
-    accepted = 0
-    for _ in range(n_swaps):
-        i = rng.integers(0, n)
-        j = rng.integers(0, n_comp)
-        out_f = sel[i]
-        in_f = comp[j]
-        new_u, new_norm_sum = trial_swap(
-            ratios, norms, max_norm, alpha, n, iu, ju, w, count_pos,
-            s1, s2, cp, norm_sum, out_f, in_f, t_s1, t_s2, t_cp, m, v,
-        )
-        if new_u > cur_u:
-            take = True
-        else:
-            take = rng.random() < math.exp(-(cur_u - new_u) / temperature)
-        if take:
-            for g in range(s1.shape[0]):
-                s1[g] = t_s1[g]
-                s2[g] = t_s2[g]
-            for p in range(cp.shape[0]):
-                cp[p] = t_cp[p]
-            norm_sum = new_norm_sum
-            sel[i] = in_f
-            comp[j] = out_f
-            cur_u = new_u
-            accepted += 1
-            if cur_u > best_u:
-                best_u = cur_u
-                for q in range(n):
-                    best_sel[q] = sel[q]
-    return norm_sum, cur_u, best_u, accepted
-
-
-def stepper(state, best_sel, cur_u, rng, swaps):
-    """One temperature step of ``anneal_batch`` over a chain's ``SubsetState``.
-
-    The returned ``step(temperature)`` updates ``state`` and ``best_sel`` in
-    place and returns ``(cur_u, best_u, accepted)``.
-    """
-    context, pair = state.context, state.pair
+    chain = ListChain(state, state.alpha)
+    ratios = state.context.ratios.tolist()
+    norms = state.context.norms.tolist()
+    sel = state.sel.tolist()
+    comp = state.comp.tolist()
+    n, n_comp = len(sel), len(comp)
     best_u = cur_u
-
-    def step(temperature):
-        nonlocal cur_u, best_u
-        state.norm_sum, cur_u, best_u, accepted = anneal_batch(
-            rng,
-            context.ratios, context.norms, context.max_norm, state.alpha, state.n,
-            pair.iu, pair.ju, pair.w, pair.count_positive,
-            state.sel, state.comp, state.s1, state.s2, state.cp, state.norm_sum, cur_u,
-            temperature, swaps, best_u, best_sel,
-            state._t_s1, state._t_s2, state._t_cp, state._m, state._v,
-        )
-        return cur_u, best_u, accepted
-
-    return step
+    best = None  # the subset at best_u, once a move has improved on the start
+    cur_trace, best_trace, accepted_trace = [], [], []
+    for temperature in temperatures:
+        accepted = 0
+        for _ in range(swaps):
+            i = rng.integers(0, n)
+            j = rng.integers(0, n_comp)
+            out_f, in_f = sel[i], comp[j]
+            new_u, sums = chain.trial_swap(ratios[in_f], ratios[out_f], norms[in_f], norms[out_f])
+            if new_u > cur_u or rng.random() < exp(-(cur_u - new_u) / temperature):
+                chain.s1, chain.s2, chain.cp, chain.norm_sum = sums
+                sel[i], comp[j] = in_f, out_f
+                cur_u = new_u
+                accepted += 1
+                if cur_u > best_u:
+                    best_u = cur_u
+                    best = list(sel)
+        cur_trace.append(cur_u)
+        best_trace.append(best_u)
+        accepted_trace.append(accepted)
+    state.sel[:] = sel
+    state.comp[:] = comp
+    state.s1[:] = chain.s1
+    state.s2[:] = chain.s2
+    state.cp[:] = chain.cp
+    state.norm_sum = chain.norm_sum
+    if best is not None:
+        best_sel[:] = best
+    return cur_trace, best_trace, accepted_trace

@@ -14,8 +14,8 @@ ties going to the lowest chain index. Per proposal a chain draws the position
 into the subset, then the position into the complement, then one uniform only
 when the move does not improve.
 
-Each temperature step runs in the C kernel (``_ckernel``) when it can be
-built, else in the Python reference (``_kernels.anneal_batch``, with a
+Each chain runs in one call of the C kernel (``_ckernel``) when it can be
+built, else of the Python reference (``_kernels.anneal_chain``, with a
 warning). Both read the chain's generator in that order and give the same
 bits, so the backend never changes a selection or a trace.
 """
@@ -121,28 +121,24 @@ def _run_chain(
     start = np.sort(rng.choice(context.n_features, size=params.n, replace=False))
     state = SubsetState.build(context, start, params)
     cur_u = state.current_u()
-    best_u = cur_u
     best_sel = state.sel.copy()
-
-    rows = []
-    step = None
+    temperatures = [schedule.temperature(step) for step in range(schedule.num_steps)]
     if state.comp.size > 0:
-        swaps = schedule.swaps_per_temperature
-        step = _ckernel.stepper(state, best_sel, cur_u, rng, swaps) or _kernels.stepper(
-            state, best_sel, cur_u, rng, swaps
-        )
-    for step_no in range(schedule.num_steps):
-        temperature = schedule.temperature(step_no)
-        accepted = 0
-        if step is not None:
-            cur_u, best_u, accepted = step(temperature)
-        rows.append(TraceRow(step_no, temperature, float(cur_u), float(best_u), int(accepted)))
+        args = (state, best_sel, rng, temperatures, schedule.swaps_per_temperature, cur_u)
+        cur, best, accepted = _ckernel.anneal_chain(*args) or _kernels.anneal_chain(*args)
+    else:  # a full subset has nothing to swap with
+        cur = best = [cur_u] * len(temperatures)
+        accepted = [0] * len(temperatures)
+    rows = tuple(
+        TraceRow(step, temperature, float(u), float(b), int(a))
+        for step, (temperature, u, b, a) in enumerate(zip(temperatures, cur, best, accepted))
+    )
 
     reported = state.sel if return_final else best_sel
     idx = np.sort(reported)
     u, u1, u2 = eval_u(context, idx, params)
     selection = Selection(tuple(int(i) for i in idx), u, u1, u2)
-    return selection, tuple(rows)
+    return selection, rows
 
 
 def run(

@@ -18,18 +18,18 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, ingest, render, synth
-from .annealer import _MAX_SEED, AnnealSchedule, run
+from .annealer import AnnealSchedule, run
 from .errors import NumericalError, ParameterError, ValidationError
-from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta, Selection
+from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta
 from .objective import ObjectiveContext, ObjectiveParams
-from .oracle import exhaustive_optimum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,7 +74,6 @@ def _option(default, parse, help, check=None, *, choices=None, repeat=False):
 
 _POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_SEED = (lambda v: isinstance(v, int) and 0 <= v < _MAX_SEED, "an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class RunConfig:
     gamma: float = _option(AnnealSchedule.gamma, float, "cooling rate in (0, 1)")
     swaps_per_temp: int = _option(AnnealSchedule.swaps_per_temperature, int, "proposals per temperature")
     restarts: int = _option(AnnealSchedule.restarts, int, "independent chains per cell")
-    seed: int = _option(0, int, "run seed, an unsigned 64-bit integer", _SEED)
+    seed: int = _option(0, int, "run seed, an unsigned 64-bit integer")
     default_weight: int = _option(
         1, int, "weight for pairs not listed in the weights file", choices=(-1, 0, 1)
     )
@@ -125,19 +124,30 @@ class RunConfig:
             test, allowed = opt["check"]
             if not all(test(v) for v in values):
                 raise ParameterError(f"{f.name} must be {allowed}, got {value!r}")
+        self.schedule  # builds the schedule, and so checks its settings and the seed
+
+    @cached_property
+    def schedule(self) -> AnnealSchedule:
+        """The annealing schedule of these settings, seeded with the run seed."""
+        return AnnealSchedule(
+            t_init=self.t_init,
+            t_final=self.t_final,
+            gamma=self.gamma,
+            swaps_per_temperature=self.swaps_per_temp,
+            seed=self.seed,
+            restarts=self.restarts,
+        )
 
 
-def _add_options(p, names=None, required=()) -> None:
-    """Add the flags of the ``RunConfig`` fields in ``names`` (default all).
+def _add_options(p) -> None:
+    """Add the flag of every ``RunConfig`` field.
 
     Flags default to None, so ``resolve_config`` can tell a given flag from
     an absent one.
     """
     for f in fields(RunConfig):
-        if names is not None and f.name not in names:
-            continue
         opt = f.metadata
-        kwargs = {"dest": f.name, "required": f.name in required, "help": opt["help"]}
+        kwargs = {"dest": f.name, "help": opt["help"]}
         if opt["parse"] is _boolean:
             kwargs.update(action="store_true", default=None)
         else:
@@ -307,17 +317,8 @@ def _run_cell(
 ) -> tuple[str, dict, float]:
     started = time.perf_counter()
     params = ObjectiveParams(alpha=alpha, n=n, weights=weights)
-    if n > context.n_features:
-        raise ParameterError(f"n = {n} exceeds the {context.n_features} available features")
     cell_seed = derive_cell_seed(config.seed, cell_index)
-    schedule = AnnealSchedule(
-        t_init=config.t_init,
-        t_final=config.t_final,
-        gamma=config.gamma,
-        swaps_per_temperature=config.swaps_per_temp,
-        seed=cell_seed,
-        restarts=config.restarts,
-    )
+    schedule = replace(config.schedule, seed=cell_seed)
     best, trace = run(context, params, schedule, return_final=config.return_final)
 
     cell_name = f"n{n}_alpha{_alpha_token(alpha)}"
@@ -372,23 +373,17 @@ def _run_cell(
     return key, entry, time.perf_counter() - started
 
 
-
-
-def _load_problem(config: RunConfig):
-    """Ingest, log2 ratios, pair weights and the objective context."""
+def run_pipeline(config: RunConfig) -> int:
     matrix, report = ingest.load_matrix(config.matrix)
     meta = ingest.load_meta(config.meta)
     entries = ingest.load_weights(config.weights) if config.weights else []
     ratio_matrix = ingest.compute_ratios(matrix, meta, report)
     weights = PairWeights.from_entries(ratio_matrix.treated_ids, entries, config.default_weight)
     context = ObjectiveContext.from_matrices(matrix, ratio_matrix)
-    return matrix, report, meta, ratio_matrix, weights, context
-
-
-def run_pipeline(config: RunConfig) -> int:
+    if not config.cluster_all_features and max(config.n) > context.n_features:
+        raise ParameterError(f"n = {max(config.n)} exceeds the {context.n_features} available features")
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    matrix, report, meta, ratio_matrix, weights, context = _load_problem(config)
     for message in report.warnings:
         log.warning("%s", message)
     for sample_id, value, count in report.zero_replacements:
@@ -471,14 +466,6 @@ def _add_synth_parser(sub) -> None:
         p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(f.default), default=f.default)
 
 
-def _add_oracle_parser(sub) -> None:
-    # intentionally undocumented: exhaustive golden-file generation for tests
-    p = sub.add_parser("oracle")
-    _add_options(p, ("matrix", "meta", "weights", "n", "alpha", "default_weight"),
-                 required=("matrix", "meta", "n", "alpha"))
-    p.add_argument("--out", required=True)
-
-
 def _parse_groups(spec: str):
     groups = []
     for chunk in spec.split(";"):
@@ -501,38 +488,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    if len(config.n) != 1 or len(config.alpha) != 1:
-        raise ParameterError("the oracle takes one --n and one --alpha")
-    (n,), (alpha,) = config.n, config.alpha
-    matrix, _, _, _, weights, context = _load_problem(config)
-    params = ObjectiveParams(alpha=alpha, n=n, weights=weights)
-    result = exhaustive_optimum(context, params)
-    best: Selection = result.best_subset
-    _write_json(
-        args.out,
-        {
-            "n": n,
-            "alpha": alpha,
-            "u": best.objective,
-            "u1": best.u1,
-            "u2": best.u2,
-            "indices": list(best.indices),
-            "feature_ids": [matrix.feature_ids[i] for i in best.indices],
-            "evaluated": result.evaluated_count,
-        },
-    )
-    print(f"evaluated {result.evaluated_count} subsets, best u = {best.objective!r}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rnasel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="{run,synth}")
     _add_run_parser(sub)
     _add_synth_parser(sub)
-    _add_oracle_parser(sub)
     return parser
 
 
@@ -545,8 +505,6 @@ def main(argv=None) -> int:
             return run_pipeline(resolve_config(args))
         if args.command == "synth":
             return _cmd_synth(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
         parser.error(f"unknown command {args.command!r}")
     except ParameterError as exc:
         log.error("parameter error: %s", exc)

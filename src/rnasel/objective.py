@@ -79,6 +79,10 @@ class PairData:
     w: np.ndarray
     count_positive: float
 
+    def triples(self) -> list[tuple[int, int, float]]:
+        """(i, j, w) of every pair, as Python numbers."""
+        return list(zip(self.iu.tolist(), self.ju.tolist(), self.w.tolist()))
+
 
 class ObjectiveContext:
     """Immutable evaluation context: ratio rows, feature norms, max norm.
@@ -164,12 +168,8 @@ def eval_u1(context: ObjectiveContext, indices, weights: PairWeights) -> float:
     idx = _check_indices(context, indices)
     pair = context.pair_data(weights)
     s1, s2, cp = _subset_sums(context, idx, pair)
-    g = context.n_treated
-    return float(
-        _kernels.u1_from_sums(
-            idx.size, s1, s2, cp, pair.iu, pair.ju, pair.w, pair.count_positive,
-            np.empty(g), np.empty(g),
-        )
+    return _kernels.u1_from_sums(
+        idx.size, s1.tolist(), s2.tolist(), cp.tolist(), pair.triples(), pair.count_positive
     )
 
 
@@ -201,7 +201,6 @@ class SubsetState:
     __slots__ = (
         "context", "pair", "alpha", "n",
         "sel", "comp", "s1", "s2", "cp", "norm_sum",
-        "_t_s1", "_t_s2", "_t_cp", "_m", "_v",
     )
 
     def __init__(self, context, pair, alpha, n, sel, comp, s1, s2, cp, norm_sum):
@@ -215,12 +214,6 @@ class SubsetState:
         self.s2 = s2
         self.cp = cp
         self.norm_sum = norm_sum
-        g = context.n_treated
-        self._t_s1 = np.empty(g)
-        self._t_s2 = np.empty(g)
-        self._t_cp = np.empty(len(pair.iu))
-        self._m = np.empty(g)
-        self._v = np.empty(g)
 
     @classmethod
     def build(cls, context: ObjectiveContext, indices, params: ObjectiveParams) -> "SubsetState":
@@ -241,12 +234,9 @@ class SubsetState:
 
     def current_parts(self) -> tuple[float, float, float]:
         """(u, u1, u2) computed from the running sums."""
-        u1 = float(
-            _kernels.u1_from_sums(
-                self.n, self.s1, self.s2, self.cp,
-                self.pair.iu, self.pair.ju, self.pair.w, self.pair.count_positive,
-                self._m, self._v,
-            )
+        u1 = _kernels.u1_from_sums(
+            self.n, self.s1.tolist(), self.s2.tolist(), self.cp.tolist(),
+            self.pair.triples(), self.pair.count_positive,
         )
         u2 = self.norm_sum / (self.n * self.context.max_norm)
         return (1.0 - self.alpha) * u1 + self.alpha * u2, u1, u2
@@ -300,14 +290,11 @@ def swap_delta(
         raise ParameterError(f"feature {out_feature} is not in the current subset")
     if state.contains(in_feature) or not 0 <= in_feature < context.n_features:
         raise ParameterError(f"feature {in_feature} is not available to swap in")
-    t_s1 = np.empty_like(state.s1)
-    t_s2 = np.empty_like(state.s2)
-    t_cp = np.empty_like(state.cp)
-    new_u, new_norm_sum = _kernels.trial_swap(
-        context.ratios, context.norms, context.max_norm, params.alpha, state.n,
-        state.pair.iu, state.pair.ju, state.pair.w, state.pair.count_positive,
-        state.s1, state.s2, state.cp, state.norm_sum,
-        out_feature, in_feature, t_s1, t_s2, t_cp, state._m, state._v,
+    new_u, (s1, s2, cp, norm_sum) = _kernels.ListChain(state, params.alpha).trial_swap(
+        context.ratios[in_feature].tolist(), context.ratios[out_feature].tolist(),
+        float(context.norms[in_feature]), float(context.norms[out_feature]),
     )
-    pending = PendingSwap(int(out_feature), int(in_feature), t_s1, t_s2, t_cp, float(new_norm_sum), float(new_u))
+    pending = PendingSwap(
+        int(out_feature), int(in_feature), np.array(s1), np.array(s2), np.array(cp), float(norm_sum), float(new_u)
+    )
     return float(new_u), pending

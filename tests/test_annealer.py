@@ -61,14 +61,28 @@ def two_feature_state(norms, start):
 
 
 def reference_step(state, rng, swaps=1):
-    """``step(temperature)`` of the Python reference kernel on ``state``."""
-    return _kernels.stepper(state, state.sel.copy(), state.current_u(), rng, swaps)
+    """``step(temperature)``: a one-step chain of the Python reference kernel
+    on ``state``, returning that step's (cur_u, best_u, accepted)."""
+    best_sel = state.sel.copy()
+    cur_u = state.current_u()
+
+    def step(temperature):
+        nonlocal cur_u
+        trace = _kernels.anneal_chain(state, best_sel, rng, [temperature], swaps, cur_u)
+        cur_u = trace[0][-1]
+        return tuple(values[-1] for values in trace)
+
+    return step
 
 
 def chain_start(monkeypatch, ctx, params, rng):
     """The subset ``_run_chain`` starts from: run it with a kernel that never moves."""
-    monkeypatch.setattr(_ckernel, "stepper", lambda *args: None)
-    monkeypatch.setattr(_kernels, "stepper", lambda state, best, cur_u, rng, swaps: lambda t: (cur_u, cur_u, 0))
+    def still(state, best_sel, rng, temperatures, swaps, cur_u):
+        steps = len(temperatures)
+        return [cur_u] * steps, [cur_u] * steps, [0] * steps
+
+    monkeypatch.setattr(_ckernel, "anneal_chain", lambda *args: None)
+    monkeypatch.setattr(_kernels, "anneal_chain", still)
     selection, _ = _run_chain(ctx, params, AnnealSchedule(t_init=1.0, t_final=0.9, gamma=0.5), rng, True)
     return selection
 
@@ -211,8 +225,8 @@ class TestProposeSwap:
         def no_kernel(*args):
             raise AssertionError("swap kernel called on a full subset")
 
-        monkeypatch.setattr(_ckernel, "stepper", no_kernel)
-        monkeypatch.setattr(_kernels, "stepper", no_kernel)
+        monkeypatch.setattr(_ckernel, "anneal_chain", no_kernel)
+        monkeypatch.setattr(_kernels, "anneal_chain", no_kernel)
         ctx, _ = small_problem(f=4, g=3)
         params = ObjectiveParams(alpha=0.2, n=4, weights=all_ones_weights(ctx))
         sel, rows = _run_chain(ctx, params, AnnealSchedule(), np.random.default_rng(0), False)

@@ -1,4 +1,5 @@
 import os
+import subprocess
 import tempfile
 
 import numpy as np
@@ -52,6 +53,16 @@ def test_builds_once_into_the_user_cache(fresh_loader, monkeypatch, tmp_path):
     monkeypatch.setattr(_ckernel, "find_compiler", lambda: None)  # a cached library needs no compiler
     assert _ckernel.load() is not None
     assert list((tmp_path / "rnasel").iterdir()) == built
+
+
+@needs_compiler
+def test_source_compiles_without_warnings(tmp_path):
+    command = [
+        _ckernel.find_compiler(), *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+        "-o", str(tmp_path / "anneal.so"), str(_ckernel.SOURCE), "-lm",
+    ]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @needs_compiler

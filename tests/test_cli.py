@@ -271,6 +271,21 @@ class TestExitCodes:
         rc = main(run_args(dataset, tmp_path / "o", "--n", "10000", "--alpha", "0.2"))
         assert rc == 4
 
+    def test_n_larger_than_features_fails_before_any_cell(self, dataset, tmp_path):
+        # the dataset has 60 features; the n = 8 cell comes first
+        out = tmp_path / "o"
+        assert main(run_args(dataset, out, "--n", "8", "--n", "61", "--alpha", "0.2")) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ("--n", "8", "--n", "6", "--gamma", "2"),
+        ("--cluster-all-features", "--gamma", "2", "--restarts", "0"),
+    ], ids=["sweep", "all-features"])
+    def test_bad_schedule_fails_before_any_output(self, dataset, tmp_path, extra):
+        out = tmp_path / "o"
+        assert main(run_args(dataset, out, *extra)) == 4
+        assert not out.exists()
+
     def test_height_inversion_is_numerical_error(self, dataset, tmp_path, monkeypatch, caplog):
         def inverted(d):
             raise NumericalError("average linkage produced a height inversion: 0.1 after 0.2")
@@ -305,21 +320,3 @@ class TestReportGroups:
         text = report_groups(self._dend(), 2)
         assert "group 1: cmpA" in text
         assert "group 2: cmpB" in text
-
-
-class TestOracleCommand:
-    def test_golden_file(self, tmp_path):
-        root = tmp_path / "tiny"
-        assert main([
-            "synth", "--out-dir", str(root), "--features", "10", "--informative", "5",
-            "--effect-size", "3.0", "--seed", "2",
-        ]) == 0
-        out = tmp_path / "golden.json"
-        rc = main([
-            "oracle", "--matrix", str(root / "matrix.tsv"), "--meta", str(root / "meta.tsv"),
-            "--n", "3", "--alpha", "0.2", "--out", str(out),
-        ])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["evaluated"] == 120
-        assert len(payload["indices"]) == 3

@@ -338,19 +338,26 @@ class TestSwapDelta:
         signed = PairWeights.from_entries(
             ids, [(ids[0], ids[1], -1), (ids[0], ids[2], 0), (ids[3], ids[4], -1)], default=1
         )
-        for n in (1, 4, f - 1, f):
-            for weights, swaps in ((signed, 1), (all_ones_weights(ctx), 7)):
-                params = ObjectiveParams(alpha=0.3, n=n, weights=weights)
-                schedule = AnnealSchedule(
-                    t_init=1.0, t_final=1e-3, gamma=0.9, swaps_per_temperature=swaps, seed=n, restarts=3
-                )
-                compiled, compiled_trace = run(ctx, params, schedule)
-                with monkeypatch.context() as patch:
-                    patch.setattr(_ckernel, "load", lambda: None)
-                    reference, reference_trace = run(ctx, params, schedule)
-                assert compiled == reference
-                assert compiled_trace.rows == reference_trace.rows
-                assert compiled_trace.chain == reference_trace.chain
+        cases = [
+            (ctx, ObjectiveParams(alpha=0.3, n=n, weights=weights), AnnealSchedule(
+                t_init=1.0, t_final=1e-3, gamma=0.9, swaps_per_temperature=swaps, seed=n, restarts=3
+            ))
+            for n in (1, 4, f - 1, f)
+            for weights, swaps in ((signed, 1), (all_ones_weights(ctx), 7))
+        ]
+        # the CLI default schedule: 9,206 steps of one proposal each, G = 16
+        wide = random_context(rng, 300, 16)
+        schedule = AnnealSchedule(seed=8)
+        assert schedule.num_steps == 9206 and schedule.swaps_per_temperature == 1
+        cases.append((wide, ObjectiveParams(alpha=0.2, n=12, weights=all_ones_weights(wide)), schedule))
+        for context, params, schedule in cases:
+            compiled, compiled_trace = run(context, params, schedule)
+            with monkeypatch.context() as patch:
+                patch.setattr(_ckernel, "load", lambda: None)
+                reference, reference_trace = run(context, params, schedule)
+            assert compiled == reference
+            assert compiled_trace.rows == reference_trace.rows
+            assert compiled_trace.chain == reference_trace.chain
 
     def test_running_sums_match_rebuild(self):
         rng, ctx, params, state = self._setup(seed=54)
