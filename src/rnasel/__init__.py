@@ -21,7 +21,6 @@ from .model import (
     SampleMeta,
     SampleRecord,
     Selection,
-    feature_norm,
     feature_norms,
 )
 from .objective import (
@@ -69,7 +68,6 @@ __all__ = [
     "eval_u1",
     "eval_u2",
     "exhaustive_optimum",
-    "feature_norm",
     "feature_norms",
     "generate",
     "load_matrix",

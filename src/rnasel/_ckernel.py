@@ -174,7 +174,7 @@ def anneal_chain(
     """Every temperature step of one chain in C, as ``_kernels.anneal_chain``.
 
     Updates ``state`` and ``best_sel`` in place and returns the per-step
-    lists (cur_u, best_u, accepted), or None if the kernel is unavailable.
+    arrays (cur_u, best_u, accepted), or None if the kernel is unavailable.
     """
     context, pair = state.context, state.pair
     if context.n_features > MAX_BOUND:
@@ -205,4 +205,4 @@ def anneal_chain(
             cur_trace.ctypes.data, best_trace.ctypes.data, accepted_trace.ctypes.data,
         )
     state.norm_sum = chain.norm_sum
-    return cur_trace.tolist(), best_trace.tolist(), accepted_trace.tolist()
+    return cur_trace, best_trace, accepted_trace

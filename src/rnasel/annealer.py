@@ -77,31 +77,30 @@ class AnnealSchedule:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    step: int
-    temperature: float
-    current_u: float
-    best_u: float
-    accepted_count: int
-
-
-@dataclass(frozen=True)
 class AnnealTrace:
-    """Per-temperature progress of the chain that produced the result."""
+    """Per-temperature progress of the chain that produced the result.
 
-    rows: tuple[TraceRow, ...]
+    ``temperature``, ``current_u``, ``best_u`` and ``accepted_count`` are
+    read-only arrays with one entry per temperature step.
+    """
+
+    temperature: np.ndarray
+    current_u: np.ndarray
+    best_u: np.ndarray
+    accepted_count: np.ndarray
     selection: Selection
     seed: int
     chain: int
 
     def to_csv(self, path) -> None:
+        columns = (self.temperature, self.current_u, self.best_u, self.accepted_count)
+        lines = ["step,temperature,current_u,best_u,accepted_count\n"]
+        lines += [
+            f"{step},{t!r},{cur!r},{best!r},{acc}\n"
+            for step, (t, cur, best, acc) in enumerate(zip(*(c.tolist() for c in columns)))
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,temperature,current_u,best_u,accepted_count\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.step},{row.temperature!r},{row.current_u!r},"
-                    f"{row.best_u!r},{row.accepted_count}\n"
-                )
+            fh.write("".join(lines))
 
 
 def chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -115,7 +114,9 @@ def _run_chain(
     schedule: AnnealSchedule,
     rng: np.random.Generator,
     return_final: bool,
-) -> tuple[Selection, tuple[TraceRow, ...]]:
+) -> tuple[Selection, tuple]:
+    """One chain: its reported selection and its per-step sequences
+    (temperature, current u, best u, accepted count), as the kernel gave them."""
     if params.n > context.n_features:
         raise ParameterError(f"n = {params.n} exceeds {context.n_features} features")
     start = np.sort(rng.choice(context.n_features, size=params.n, replace=False))
@@ -129,16 +130,18 @@ def _run_chain(
     else:  # a full subset has nothing to swap with
         cur = best = [cur_u] * len(temperatures)
         accepted = [0] * len(temperatures)
-    rows = tuple(
-        TraceRow(step, temperature, float(u), float(b), int(a))
-        for step, (temperature, u, b, a) in enumerate(zip(temperatures, cur, best, accepted))
-    )
 
     reported = state.sel if return_final else best_sel
     idx = np.sort(reported)
     u, u1, u2 = eval_u(context, idx, params)
     selection = Selection(tuple(int(i) for i in idx), u, u1, u2)
-    return selection, rows
+    return selection, (temperatures, cur, best, accepted)
+
+
+def _column(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
 
 
 def run(
@@ -153,15 +156,15 @@ def run(
     ``chain_rng(schedule.seed, c)``.
     """
     best: Selection | None = None
-    best_rows: tuple[TraceRow, ...] = ()
-    best_chain = 0
     for chain in range(schedule.restarts):
         rng = chain_rng(schedule.seed, chain)
-        selection, rows = _run_chain(context, params, schedule, rng, return_final)
+        selection, steps = _run_chain(context, params, schedule, rng, return_final)
         if best is None or selection.objective > best.objective:
-            best = selection
-            best_rows = rows
-            best_chain = chain
+            best, best_steps, best_chain = selection, steps, chain
     assert best is not None
-    trace = AnnealTrace(best_rows, best, schedule.seed, best_chain)
+    temperature, cur, best_u, accepted = best_steps
+    trace = AnnealTrace(
+        _column(temperature, np.float64), _column(cur, np.float64), _column(best_u, np.float64),
+        _column(accepted, np.int64), best, schedule.seed, best_chain,
+    )
     return best, trace

@@ -28,7 +28,7 @@ import numpy as np
 from . import clustering, ingest, render, synth
 from .annealer import AnnealSchedule, run
 from .errors import NumericalError, ParameterError, ValidationError
-from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta
+from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta, SampleRecord
 from .objective import ObjectiveContext, ObjectiveParams
 
 EXIT_OK = 0
@@ -314,6 +314,7 @@ def _run_cell(
     weights: PairWeights,
     config: RunConfig,
     out_root: Path,
+    scatter: tuple[str, SampleRecord, SampleRecord] | None,
 ) -> tuple[str, dict, float]:
     started = time.perf_counter()
     params = ObjectiveParams(alpha=alpha, n=n, weights=weights)
@@ -351,23 +352,20 @@ def _run_cell(
         selection="selection.json", trace="trace.csv", directory=cell_name,
     )
 
-    wants_svg = config.format in ("svg", "all")
-    if wants_svg:
-        picked = _scatter_columns(matrix, meta, config.scatter_compound)
-        if picked is not None:
-            compound, rec1, rec2 = picked
-            mask = np.zeros(matrix.n_features, dtype=bool)
-            mask[idx] = True
-            svg = render.scatter_svg(
-                matrix.values[:, matrix.sample_index(rec1.sample_id)],
-                matrix.values[:, matrix.sample_index(rec2.sample_id)],
-                mask,
-                f"{compound}_{rec1.replicate} level",
-                f"{compound}_{rec2.replicate} level",
-                f"{compound}: selected features, n={n}, alpha={_alpha_token(alpha)}",
-            )
-            (cell_dir / "scatter.svg").write_text(svg, encoding="utf-8")
-            entry["scatter"] = "scatter.svg"
+    if scatter is not None:
+        compound, rec1, rec2 = scatter
+        mask = np.zeros(matrix.n_features, dtype=bool)
+        mask[idx] = True
+        svg = render.scatter_svg(
+            matrix.values[:, matrix.sample_index(rec1.sample_id)],
+            matrix.values[:, matrix.sample_index(rec2.sample_id)],
+            mask,
+            f"{compound}_{rec1.replicate} level",
+            f"{compound}_{rec2.replicate} level",
+            f"{compound}: selected features, n={n}, alpha={_alpha_token(alpha)}",
+        )
+        (cell_dir / "scatter.svg").write_text(svg, encoding="utf-8")
+        entry["scatter"] = "scatter.svg"
 
     key = f"n={n},alpha={_alpha_token(alpha)}"
     return key, entry, time.perf_counter() - started
@@ -382,6 +380,10 @@ def run_pipeline(config: RunConfig) -> int:
     context = ObjectiveContext.from_matrices(matrix, ratio_matrix)
     if not config.cluster_all_features and max(config.n) > context.n_features:
         raise ParameterError(f"n = {max(config.n)} exceeds the {context.n_features} available features")
+    # the replicate pair of each cell's scatter plot (None: no plot)
+    scatter = None
+    if not config.cluster_all_features and config.format in ("svg", "all"):
+        scatter = _scatter_columns(matrix, meta, config.scatter_compound)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     for message in report.warnings:
@@ -421,7 +423,7 @@ def run_pipeline(config: RunConfig) -> int:
             futures = [
                 pool.submit(
                     _run_cell, i, n, alpha, context, matrix, meta,
-                    ratio_labels, weights, config, out_root,
+                    ratio_labels, weights, config, out_root, scatter,
                 )
                 for i, (n, alpha) in enumerate(cells)
             ]

@@ -18,7 +18,9 @@ replacement happens per occurrence at ratio time.
 
 from __future__ import annotations
 
+import array
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,46 +90,66 @@ def _check_level(token: str, path, line: int, column_id: str) -> None:
         raise ValidationError(f"{path}:{line}: negative value {token!r} in column {column_id!r}")
 
 
+def _raise_for_row(path, fmt: str | None, index: int, sample_ids) -> None:
+    """Re-read data row ``index`` (0-based) of a matrix file and raise for its
+    first offending cell, which names the original token."""
+    rows, _, _ = _open_rows(path, fmt, "matrix")
+    line, row = next(itertools.islice(rows, index, None))
+    for tok, sample_id in zip(row[1:], sample_ids):
+        _check_level(tok.strip(), path, line, sample_id)
+    raise ValidationError(f"{path}:{line}: row changed while the file was read")
+
+
 def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestReport]:
     """Parse and validate an expression matrix file.
 
     Features that are zero in every sample are dropped (they carry no signal
-    and break correlation) and listed in the report. Rows are checked as they
-    are read, so an error names the first offending cell in file order.
+    and break correlation) and listed in the report. An error names the first
+    offending cell in file order: before raising for a row it cannot parse,
+    the rows read so far are checked as one block.
     """
     rows, line, header = _open_rows(path, fmt, "matrix")
     if header[0] != "feature_id":
         raise ValidationError(f"{path}:{line}: first header field must be 'feature_id', got {header[0]!r}")
     sample_ids = header[1:]
-    if len(sample_ids) < 2:
+    width = len(sample_ids)
+    if width < 2:
         raise ValidationError(f"{path}:{line}: need at least 2 sample columns")
     feature_ids = []
-    values = []
-    report = IngestReport()
+    levels = array.array("d")
+
+    def check_rows_read() -> np.ndarray:
+        """The complete rows read so far, after checking them as one block."""
+        block = np.frombuffer(levels, np.float64, len(feature_ids) * width).reshape(-1, width)
+        bad = np.flatnonzero(~(np.isfinite(block) & (block >= 0)).all(axis=1))
+        if bad.size:
+            _raise_for_row(path, fmt, int(bad[0]), sample_ids)
+        return block
+
     for line, row in rows:
         if len(row) != len(header):
+            check_rows_read()
             raise ValidationError(
                 f"{path}:{line}: expected {len(header)} fields, got {len(row)} (ragged row)"
             )
         try:
-            levels = np.fromiter(map(float, row[1:]), np.float64, len(sample_ids))
+            levels.extend(map(float, row[1:]))
         except ValueError:
-            levels = None
-        if levels is None or not np.isfinite(levels).all() or (levels < 0).any():
-            # walk the row again only to name its first offending cell
-            for tok, sample_id in zip(row[1:], sample_ids):
-                _check_level(tok.strip(), path, line, sample_id)
-        fid = row[0].strip()
-        if not levels.any():
-            report.dropped_features.append(fid)
-            continue
-        feature_ids.append(fid)
-        values.append(levels)
-    if report.dropped_features:
+            check_rows_read()
+            _raise_for_row(path, fmt, len(feature_ids), sample_ids)
+        feature_ids.append(row[0].strip())
+    values = check_rows_read()
+    keep = values.any(axis=1)
+    report = IngestReport()
+    if not keep.all():
+        kept = keep.tolist()
+        report.dropped_features.extend(fid for fid, k in zip(feature_ids, kept) if not k)
         report.warnings.append(f"dropped {len(report.dropped_features)} all-zero feature(s)")
+        feature_ids = list(itertools.compress(feature_ids, kept))
+        values = values[keep]
     if len(feature_ids) < 2:
         raise ValidationError(f"{path}: fewer than 2 usable features after dropping all-zero rows")
-    matrix = ExpressionMatrix(tuple(feature_ids), tuple(sample_ids), np.vstack(values))
+    matrix = ExpressionMatrix(tuple(feature_ids), tuple(sample_ids), values)
     return matrix, report
 
 

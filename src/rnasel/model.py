@@ -81,15 +81,8 @@ class ExpressionMatrix:
     def _sample_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.sample_ids)}
 
-    @cached_property
-    def _feature_index(self) -> dict[str, int]:
-        return {f: i for i, f in enumerate(self.feature_ids)}
-
     def sample_index(self, sample_id: str) -> int:
         return self._sample_index[sample_id]
-
-    def feature_index(self, feature_id: str) -> int:
-        return self._feature_index[feature_id]
 
 
 @dataclass(frozen=True)
@@ -323,29 +316,6 @@ class Dendrogram:
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
-
-    def leaf_members(self, node: int) -> tuple[int, ...]:
-        """Leaf indices under ``node`` (a leaf index or internal node id)."""
-        s = self.n_leaves
-        stack = [node]
-        out = []
-        while stack:
-            cur = stack.pop()
-            if cur < s:
-                out.append(cur)
-            else:
-                left, right, _ = self.merges[cur - s]
-                stack.append(right)
-                stack.append(left)
-        return tuple(out)
-
-
-def feature_norm(matrix: ExpressionMatrix, feature: int) -> float:
-    """Euclidean norm of one feature's expression row across all samples."""
-    if not 0 <= feature < matrix.n_features:
-        raise IndexError(f"feature index {feature} out of range [0, {matrix.n_features})")
-    row = matrix.values[feature]
-    return float(np.sqrt(np.dot(row, row)))
 
 
 def feature_norms(matrix: ExpressionMatrix) -> np.ndarray:

@@ -137,12 +137,14 @@ def scatter_svg(
         f'<text x="16" y="{_f(top + size / 2)}" text-anchor="middle" font-size="11" {_FONT} '
         f'transform="rotate(-90 16 {_f(top + size / 2)})">{y_label}</text>'
     )
-    rest = np.nonzero(~sel)[0]
-    chosen = np.nonzero(sel)[0]
-    for i in rest:
-        parts.append(f'<circle cx="{_f(px(lx[i]))}" cy="{_f(py(ly[i]))}" r="1.6" fill="#4477aa" fill-opacity="0.5"/>')
-    for i in chosen:
-        parts.append(f'<circle cx="{_f(px(lx[i]))}" cy="{_f(py(ly[i]))}" r="2.2" fill="#cc3311"/>')
+    # px and py over every point at once: the same operations in the same order
+    cx = left + (lx - lo) / span * size
+    cy = top + size - (ly - lo) / span * size
+    for points, style in ((~sel, 'r="1.6" fill="#4477aa" fill-opacity="0.5"'), (sel, 'r="2.2" fill="#cc3311"')):
+        parts.extend(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" {style}/>'
+            for x, y in zip(cx[points].tolist(), cy[points].tolist())
+        )
     parts.append(
         f'<text x="{_f(left + size - 4)}" y="{_f(top + 14)}" text-anchor="end" font-size="10" {_FONT}>'
         f'selected: {int(sel.sum())} / {sel.size}</text>'

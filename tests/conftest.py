@@ -38,6 +38,11 @@ def all_ones_weights(context: ObjectiveContext) -> PairWeights:
     return PairWeights.from_entries(context.treated_ids, default=1)
 
 
+def trace_columns(trace) -> tuple[list, ...]:
+    """An ``AnnealTrace``'s per-step columns as lists, for exact comparison."""
+    return tuple(c.tolist() for c in (trace.temperature, trace.current_u, trace.best_u, trace.accepted_count))
+
+
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
     """Build or load the C swap kernel once, before any test runs.

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rnasel import _ckernel, _kernels
-from rnasel.annealer import AnnealSchedule, chain_rng, run, _run_chain
+from rnasel.annealer import AnnealSchedule, AnnealTrace, chain_rng, run, _run_chain
 from rnasel.errors import ParameterError
+from rnasel.model import Selection
 from rnasel.objective import ObjectiveContext, ObjectiveParams, SubsetState, eval_u, swap_delta
 
-from conftest import all_ones_weights, random_context
+from conftest import all_ones_weights, random_context, trace_columns
 
 
 def small_problem(seed=0, f=12, g=6, n=4, alpha=0.2):
@@ -229,9 +230,9 @@ class TestProposeSwap:
         monkeypatch.setattr(_kernels, "anneal_chain", no_kernel)
         ctx, _ = small_problem(f=4, g=3)
         params = ObjectiveParams(alpha=0.2, n=4, weights=all_ones_weights(ctx))
-        sel, rows = _run_chain(ctx, params, AnnealSchedule(), np.random.default_rng(0), False)
+        sel, (_, _, _, accepted) = _run_chain(ctx, params, AnnealSchedule(), np.random.default_rng(0), False)
         assert sel.indices == (0, 1, 2, 3)
-        assert all(row.accepted_count == 0 for row in rows)
+        assert all(count == 0 for count in accepted)
 
 
 class TestRun:
@@ -241,7 +242,10 @@ class TestRun:
         schedule = AnnealSchedule(t_init=1.0, t_final=0.5, gamma=0.5, seed=3)
         best, trace = run(ctx, params, schedule)
         assert best.indices == tuple(range(5))
-        assert all(row.accepted_count == 0 for row in trace.rows)
+        assert all(count == 0 for count in trace.accepted_count)
+        for column in (trace.temperature, trace.current_u, trace.best_u, trace.accepted_count):
+            assert len(column) == schedule.num_steps == 2
+            assert not column.flags.writeable
 
     def test_determinism_bit_identical(self):
         ctx, params = small_problem(seed=1)
@@ -249,7 +253,7 @@ class TestRun:
         best_a, trace_a = run(ctx, params, schedule)
         best_b, trace_b = run(ctx, params, schedule)
         assert best_a == best_b
-        assert trace_a.rows == trace_b.rows
+        assert trace_columns(trace_a) == trace_columns(trace_b)
 
     def test_matches_public_op_mirror(self):
         # the compiled batch loop and swap_delta/SubsetState.apply must
@@ -259,13 +263,9 @@ class TestRun:
         best, trace = run(ctx, params, schedule)
         mirror_idx, mirror_rows, _ = mirror_run(ctx, params, schedule)
         assert best.indices == mirror_idx
-        assert len(trace.rows) == len(mirror_rows)
-        for row, (step, temperature, cur_u, best_u, accepted) in zip(trace.rows, mirror_rows):
-            assert row.step == step
-            assert row.temperature == temperature
-            assert row.current_u == cur_u
-            assert row.best_u == best_u
-            assert row.accepted_count == accepted
+        assert len(trace.temperature) == len(mirror_rows)
+        for step, row in enumerate(zip(*trace_columns(trace))):
+            assert (step, *row) == mirror_rows[step]
 
     def test_return_final_matches_mirror(self):
         ctx, params = small_problem(seed=3)
@@ -278,10 +278,10 @@ class TestRun:
         ctx, params = small_problem(seed=4)
         schedule = AnnealSchedule(t_init=1.0, t_final=1e-3, gamma=0.9, swaps_per_temperature=10, seed=13)
         best, trace = run(ctx, params, schedule)
-        bests = [row.best_u for row in trace.rows]
+        bests = trace.best_u.tolist()
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
         assert best.objective == pytest.approx(bests[-1], abs=1e-9)
-        assert bests[-1] >= trace.rows[0].current_u - 1e-12
+        assert bests[-1] >= trace.current_u[0] - 1e-12
 
     def test_selection_objective_is_fresh_recomputation(self):
         ctx, params = small_problem(seed=5)
@@ -333,8 +333,28 @@ class TestRun:
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,temperature,current_u,best_u,accepted_count"
-        assert len(lines) == 1 + len(trace.rows)
+        assert len(lines) == 1 + len(trace.temperature)
         first = lines[1].split(",")
         assert int(first[0]) == 0
-        assert float(first[1]) == trace.rows[0].temperature
-        assert float(first[2]) == trace.rows[0].current_u
+        assert float(first[1]) == trace.temperature[0]
+        assert float(first[2]) == trace.current_u[0]
+
+    def test_trace_csv_exact_text(self, tmp_path):
+        # each float is written as repr of a Python float: 0.1 and 1e-320 read
+        # differently under %.17g, and 1.0 under repr of a numpy scalar
+        trace = AnnealTrace(
+            temperature=np.array([1.0, 0.1 + 0.2]),
+            current_u=np.array([0.1, 1e-320]),
+            best_u=np.array([1e-320, 1 / 3]),
+            accepted_count=np.array([0, 7]),
+            selection=Selection((0,), 0.5, 0.5, 0.5),
+            seed=3,
+            chain=0,
+        )
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_text(encoding="utf-8") == (
+            "step,temperature,current_u,best_u,accepted_count\n"
+            "0,1.0,0.1,1e-320,0\n"
+            "1,0.30000000000000004,1e-320,0.3333333333333333,7\n"
+        )

@@ -277,6 +277,12 @@ class TestExitCodes:
         assert main(run_args(dataset, out, "--n", "8", "--n", "61", "--alpha", "0.2")) == 4
         assert not out.exists()
 
+    def test_unknown_scatter_compound_fails_before_any_cell(self, dataset, tmp_path):
+        out = tmp_path / "o"
+        args = run_args(dataset, out, "--n", "8", "--n", "6", "--alpha", "0.2", "--scatter-compound", "nosuch")
+        assert main(args) == 4
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         ("--n", "8", "--n", "6", "--gamma", "2"),
         ("--cluster-all-features", "--gamma", "2", "--restarts", "0"),

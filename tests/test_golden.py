@@ -1,0 +1,71 @@
+"""Golden outputs: the README quick start at a tiny size, pinned byte for byte.
+
+``rnasel synth`` writes a 60-feature dataset and ``rnasel run`` sweeps it
+with the quick-start flags (two ``--n``, two ``--alpha``, a short schedule,
+``--format all --cut-k 2``). The sha256 of every file either command writes
+is pinned, except ``timings.json``, which holds wall-clock times. A change
+that alters any exported byte (a trace float, an SVG coordinate, a dropped
+row) fails here; one that means to change an output updates the hash and
+says so.
+"""
+
+import hashlib
+
+from rnasel.cli import main
+
+GOLDEN = {
+    "data/matrix.tsv": "5d71888152adb0d7a635a40b689314686d978ed0ea6f1a68434a0371eb942633",
+    "data/meta.tsv": "c3375e5a49c4c15e54c9ee7820f895cb6c5d3b18abfae71c2551bf3b2becec48",
+    "data/truth.json": "316338d29b2f12e2da42d3e23ceaf037d72d5b35f9f6e5919324e6c55723672c",
+    "data/weights.tsv": "70ad714df6488bbf22302a26319123e9a6e8cbb7018925593fbfb57d749ef074",
+    "out/n4_alpha0.0/dendrogram.json": "a2298bbb344474d0474c804b0928b4914b097dc96e7333aa4f05269a936a1850",
+    "out/n4_alpha0.0/dendrogram.nwk": "7df9d20385704ea436c9bbd46dd3baa2f358a2fa35114bd4b6f0dc3a86717db4",
+    "out/n4_alpha0.0/dendrogram.svg": "5d7641cc6521e8fa253dae61575f12290fc53e200aec1e8efd24160a31cfe306",
+    "out/n4_alpha0.0/dissimilarity.tsv": "dff620e8c5e0358ee2f0040471bbd2bd19bfb3fa19f0d2cba39b170d28d48b6a",
+    "out/n4_alpha0.0/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
+    "out/n4_alpha0.0/scatter.svg": "d11285de86b318ff89d7128f9931e3b64f9f50e9994a012f97a0370924699442",
+    "out/n4_alpha0.0/selection.json": "ac0950850eabfbdb4b3328330bfa3aae09a770e8c24c9671c5c8c13fac732059",
+    "out/n4_alpha0.0/trace.csv": "1ad1cc95fdb5074081450fd655a82ecd90a8a34900deaadd8b2b7606b3632433",
+    "out/n4_alpha0.2/dendrogram.json": "d22e9b4ca9cd3169e8384d9dba961550232f26e6b2be582e9c0ddaffbe9a752d",
+    "out/n4_alpha0.2/dendrogram.nwk": "139dc066fc089638b02c1c36ec41da8adcd5d56cc9d90ddb0c879da3e578c67b",
+    "out/n4_alpha0.2/dendrogram.svg": "e59dbacd44ac0e2bb37218cb68c6e4c436ffa010e0e12202860845730957c388",
+    "out/n4_alpha0.2/dissimilarity.tsv": "b549f56499f04feff57d63054db9f637dcb3256fe0d07c6e0512e344a16441d3",
+    "out/n4_alpha0.2/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
+    "out/n4_alpha0.2/scatter.svg": "4a017f130c50445e89d2fd471260315bdd9c2664537b6c94ab3192a42592b0b9",
+    "out/n4_alpha0.2/selection.json": "8e3ce6182941e9fa26c2117477f77563422271973b39bee238a433a4ce4d329c",
+    "out/n4_alpha0.2/trace.csv": "295d16c13b03ce2ea4b26a205fceb18abda955add3dd47e819ee3855a6fea4f4",
+    "out/n8_alpha0.0/dendrogram.json": "b0e660c650e96fe77e8fd1c73c9b00e79844f6b253a8f167ca16b11ecc65c090",
+    "out/n8_alpha0.0/dendrogram.nwk": "0f2332fa1d57b9614b0c0fd72a013988813df53d72824db4fc1ca53b4c6efc53",
+    "out/n8_alpha0.0/dendrogram.svg": "c6199daefd3f65ebe314579c649386fd4eb83ef14adf5a336a38e70f8b602a11",
+    "out/n8_alpha0.0/dissimilarity.tsv": "99b8cdf15627d6a408a2b046a0ad73d5152fa00969dfeb9a5ca7b07858a2376c",
+    "out/n8_alpha0.0/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
+    "out/n8_alpha0.0/scatter.svg": "99b1402b55852fcf8f29b90209851d9639c4354bc6c42feb37b24de8754187bf",
+    "out/n8_alpha0.0/selection.json": "82bf6de34c0c7ff9f2b4e14fc7bf538f539bf1658c13a948752649b876380f3a",
+    "out/n8_alpha0.0/trace.csv": "6922a15dbcf8773bb82808a7f600d5dde5fc9f44dc56a19d13a4e45ec7ff0ee7",
+    "out/n8_alpha0.2/dendrogram.json": "ee7fcb3beb227ee77d426a1894ba62e3cf5b20dd76b59ddc6e3bf5f097e8e3e8",
+    "out/n8_alpha0.2/dendrogram.nwk": "4dc84ac6d7522ed103780513ee15174f1795df027a761b3a71e0c9d781f87a68",
+    "out/n8_alpha0.2/dendrogram.svg": "16c21caa4e32c11dccdb03dbd6bc6e5bf87c3f9a5880dd781cb1c051bfe3b72b",
+    "out/n8_alpha0.2/dissimilarity.tsv": "a936a46749370ffa9fc65e3b16e5334de10e4c438e3f568b1002a6a447f9f49a",
+    "out/n8_alpha0.2/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
+    "out/n8_alpha0.2/scatter.svg": "177b3546c08f9b7ce4c3670280dcc179bedf0f7b2d8ae051771149dda11b81ec",
+    "out/n8_alpha0.2/selection.json": "740002b69d06a1f15df95f637a56dd30366f0c3c2f5c76d3648ccda2b4291d3e",
+    "out/n8_alpha0.2/trace.csv": "1755d9c247fe04451c28d15ab75d2d6a05b05a5145884f455d6ef5e67bde6527",
+    "out/summary.json": "d3ed8246c843a5b49586586f29121215011fb3c9d7c1ace50f6d012111f837b2",
+}
+
+
+def test_quick_start_outputs_are_byte_identical(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["synth", "--out-dir", str(data), "--features", "60", "--informative", "10", "--seed", "7"]) == 0
+    assert main([
+        "run", "--matrix", str(data / "matrix.tsv"), "--meta", str(data / "meta.tsv"),
+        "--weights", str(data / "weights.tsv"), "--n", "8", "--n", "4", "--alpha", "0.0", "--alpha", "0.2",
+        "--gamma", "0.9", "--t-final", "1e-1", "--swaps-per-temp", "5", "--seed", "1",
+        "--cut-k", "2", "--format", "all", "--out-dir", str(out),
+    ]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file() and path.name != "timings.json"
+    }
+    assert written == GOLDEN

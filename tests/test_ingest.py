@@ -105,6 +105,30 @@ class TestLoadMatrix:
         with pytest.raises(ValidationError, match=r"m\.tsv:2: expected 3 fields, got 2"):
             load_matrix(write(tmp_path / "m.tsv", ragged_first))
 
+    @pytest.mark.parametrize("later", [
+        ["f400\t1\tnope\t1", "f401\t1\t2"],  # a non-numeric row, then a ragged one
+        ["f400\t1\t2\t3", "f401\t1\t2\t-9"],  # a good row, then another negative one
+        [],  # the bad row is the last
+    ], ids=["non-numeric-then-ragged", "later-negative", "last-row"])
+    def test_first_fault_after_many_good_rows(self, tmp_path, later):
+        # rows are checked as one block; the first bad cell in file order still wins
+        good = [f"f{i}\t{i + 1}\t0.5\t{i}" for i in range(399)]
+        lines = ["feature_id\ts0\ts1\ts2", *good[:200], "", *good[200:], "f399\t1\t-0.5e0\t-2", *later]
+        # data row 400 is physical line 402: after the header and a blank line
+        with pytest.raises(ValidationError, match=r"m\.tsv:402: negative value '-0\.5e0' in column 's1'$"):
+            load_matrix(write(tmp_path / "m.tsv", "\n".join(lines) + "\n"))
+
+    def test_all_zero_rows_among_many_dropped_in_order(self, tmp_path):
+        zero_rows = (0, 17, 500, 998)
+        rows = [[0.0, 0.0, 0.0] if i in zero_rows else [i + 1.0, 0.0, i / 7] for i in range(1000)]
+        lines = ["feature_id\ts0\ts1\ts2"] + [f"f{i}\t" + "\t".join(map(repr, row)) for i, row in enumerate(rows)]
+        m, report = load_matrix(write(tmp_path / "m.tsv", "\n".join(lines) + "\n"))
+        assert report.dropped_features == [f"f{i}" for i in zero_rows]
+        assert report.warnings == ["dropped 4 all-zero feature(s)"]
+        kept = [i for i in range(1000) if i not in zero_rows]
+        assert m.feature_ids == tuple(f"f{i}" for i in kept)
+        assert m.values.tolist() == [rows[i] for i in kept]
+
     def test_first_fault_within_a_row_wins(self, tmp_path):
         cases = [
             ("oops\tinf\t-1", "non-numeric value 'oops' in column 's0'"),

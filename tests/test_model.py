@@ -12,7 +12,6 @@ from rnasel.model import (
     SampleMeta,
     SampleRecord,
     Selection,
-    feature_norm,
     feature_norms,
 )
 
@@ -24,7 +23,6 @@ class TestExpressionMatrix:
         m = make_matrix([[1.0, 2.0], [3.0, 0.0]])
         assert m.n_features == 2 and m.n_samples == 2
         assert m.sample_index("s1") == 1
-        assert m.feature_index("f0") == 0
 
     def test_values_are_readonly(self):
         m = make_matrix([[1.0, 2.0], [3.0, 0.0]])
@@ -158,8 +156,6 @@ class TestDendrogram:
     def test_valid_three_leaves(self):
         d = Dendrogram(("a", "b", "c"), ((0, 1, 0.1), (2, 3, 0.5)))
         assert d.n_leaves == 3
-        assert set(d.leaf_members(4)) == {0, 1, 2}
-        assert set(d.leaf_members(3)) == {0, 1}
 
     def test_wrong_merge_count(self):
         with pytest.raises(ValidationError):
@@ -179,30 +175,27 @@ class TestDendrogram:
 
 
 class TestFeatureNorm:
+    # feature_norms: the Euclidean norm of every feature row
     def test_zero_row(self):
         m = make_matrix([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        assert feature_norm(m, 0) == 0.0
+        assert feature_norms(m)[0] == 0.0
 
     def test_three_four_five(self):
         m = make_matrix([[3.0, 4.0], [1.0, 1.0]])
-        assert feature_norm(m, 0) == pytest.approx(5.0, abs=1e-12)
+        assert feature_norms(m)[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_hand_computed(self):
         # sqrt(1 + 4 + 4 + 16) = 5
         m = make_matrix([[1.0, 2.0, 2.0, 4.0], [1.0, 0.0, 0.0, 0.0]])
-        assert feature_norm(m, 0) == pytest.approx(5.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        m = make_matrix([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(IndexError):
-            feature_norm(m, 2)
+        assert feature_norms(m)[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_vectorized(self):
         rng = np.random.default_rng(5)
         m = make_matrix(rng.uniform(0, 9, size=(6, 5)))
         norms = feature_norms(m)
+        expected = np.linalg.norm(m.values, axis=1)
         for i in range(6):
-            assert norms[i] == pytest.approx(feature_norm(m, i), rel=1e-15)
+            assert norms[i] == pytest.approx(expected[i], rel=1e-15)
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=12), st.integers(0, 10_000))
     def test_permutation_invariant(self, row, seed):
@@ -210,10 +203,10 @@ class TestFeatureNorm:
         permuted = list(rng.permutation(row))
         m1 = make_matrix([row, [1.0] * len(row)])
         m2 = make_matrix([permuted, [1.0] * len(row)])
-        assert feature_norm(m1, 0) == pytest.approx(feature_norm(m2, 0), rel=1e-12, abs=1e-12)
+        assert feature_norms(m1)[0] == pytest.approx(feature_norms(m2)[0], rel=1e-12, abs=1e-12)
 
     @given(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=12), st.floats(0.0, 1e3))
     def test_scaling_homogeneous(self, row, c):
         m1 = make_matrix([row, [1.0] * len(row)])
         m2 = make_matrix([[c * v for v in row], [1.0] * len(row)])
-        assert feature_norm(m2, 0) == pytest.approx(c * feature_norm(m1, 0), rel=1e-9, abs=1e-9)
+        assert feature_norms(m2)[0] == pytest.approx(c * feature_norms(m1)[0], rel=1e-9, abs=1e-9)
