@@ -1,15 +1,17 @@
-/* One annealing chain of Metropolis swap moves: the C twin of
- * rnasel._kernels.anneal_chain.
+/* The compiled part of rnasel: one annealing chain of Metropolis swap moves
+ * (the C twin of rnasel._kernels.anneal_chain), and the row parser that
+ * rnasel.ingest.load_matrix uses for well-formed matrix files.
  *
- * Every floating-point operation is written in the order of the Python
- * reference, and the library is built with -ffp-contract=off and without
- * -ffast-math, so both give the same bits. Random numbers come from the
- * chain's own numpy bit generator through its public bitgen_t interface, in
- * the reference's draw order: the position into the subset, the position
+ * Every floating-point operation of the chain is written in the order of the
+ * Python reference, and the library is built with -ffp-contract=off and
+ * without -ffast-math, so both give the same bits. Random numbers come from
+ * the chain's own numpy bit generator through its public bitgen_t interface,
+ * in the reference's draw order: the position into the subset, the position
  * into the complement, then one uniform only when the move does not improve.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* numpy/random/bitgen.h */
 typedef struct {
@@ -140,4 +142,77 @@ void rnasel_anneal_chain(chain_t *c, bitgen_t *bg, const double *temperatures, i
         cur_u[k] = c->cur_u;
         best_u[k] = c->best_u;
     }
+}
+
+/* Length of the number at p (at most end - p bytes) in the form
+ * [+-]?(digits[.digits*]|.digits)([eE][+-]?digits)?, or -1 if it does not
+ * start with one. Every such number is also a Python float literal. */
+static int64_t number_length(const char *p, const char *end)
+{
+    const char *q = p;
+    int64_t digits = 0;
+    if (q < end && (*q == '+' || *q == '-'))
+        q++;
+    for (; q < end && *q >= '0' && *q <= '9'; q++)
+        digits++;
+    if (q < end && *q == '.')
+        for (q++; q < end && *q >= '0' && *q <= '9'; q++)
+            digits++;
+    if (digits == 0)
+        return -1;
+    if (q < end && (*q == 'e' || *q == 'E')) {
+        const char *e = q + 1;
+        if (e < end && (*e == '+' || *e == '-'))
+            e++;
+        if (e == end || *e < '0' || *e > '9')
+            return -1;
+        for (q = e; q < end && *q >= '0' && *q <= '9'; q++)
+            ;
+    }
+    return q - p;
+}
+
+/* Parse the complete rows of buf[0, len), each "id" then `width` fields
+ * "<delim>number" and then "\n" or "\r\n", and stop at the first row not of
+ * that form. The id holds no delimiter, quote, NUL, "\r" or "\n"; no field
+ * is longer than max_field bytes. Row r's numbers go to
+ * values[r * width, (r + 1) * width) and its id to buf[id_span[2r],
+ * id_span[2r + 1]). Reads nothing outside buf[0, len) and parses at most
+ * max_rows rows; returns how many it parsed. */
+int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width, int64_t max_field,
+                          int64_t max_rows, double *values, int64_t *id_span)
+{
+    const char *end = buf + len, *p = buf;
+    int64_t rows = 0;
+    for (; rows < max_rows; rows++) {
+        const char *row = p;
+        double *out = values + rows * width;
+        for (; p < end && *p != delim; p++)
+            if (*p == '"' || *p == '\0' || *p == '\r' || *p == '\n')
+                return rows;
+        if (p == end || p - row > max_field)
+            return rows;
+        id_span[2 * rows] = row - buf;
+        id_span[2 * rows + 1] = p - buf;
+        for (int64_t k = 0; k < width; k++) {
+            const char *field = ++p; /* past the delimiter */
+            int64_t n = number_length(field, end);
+            char *stop;
+            if (n < 0 || n > max_field)
+                return rows;
+            p = field + n;
+            /* what follows the number: the next delimiter, else the row end */
+            if (p == end)
+                return rows;
+            if (k + 1 < width ? *p != delim
+                              : !(*p == '\n' || (*p == '\r' && p + 1 < end && p[1] == '\n')))
+                return rows;
+            /* strtod reads the validated number and stops at the byte after it */
+            out[k] = strtod(field, &stop);
+            if (stop != p)
+                return rows;
+        }
+        p += *p == '\r' ? 2 : 1;
+    }
+    return rows;
 }

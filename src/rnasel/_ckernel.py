@@ -1,24 +1,31 @@
-"""The C swap kernel (``_anneal.c``): build, cache, load and bind.
+"""The compiled library (``_anneal.c``): build, cache, load and bind.
 
-The kernel runs every temperature step of one chain of swap moves in one
-call, exactly as the Python reference ``_kernels.anneal_chain`` does, and
-gives the same bits: the same floating-point operations in the same order,
-libm's ``exp`` and ``sqrt``, and the chain's own PCG64 stream, read through
-numpy's public ``bitgen_t`` interface with ``Generator.integers``'
-bounded-draw rule. ctypes releases the GIL for the call.
+It holds two things. ``anneal_chain`` runs every temperature step of one
+chain of swap moves in one call, exactly as the Python reference
+``_kernels.anneal_chain`` does, and gives the same bits: the same
+floating-point operations in the same order, libm's ``exp`` and ``sqrt``,
+and the chain's own PCG64 stream, read through numpy's public ``bitgen_t``
+interface with ``Generator.integers``' bounded-draw rule. ``parse_rows``
+reads the well-formed rows of an expression matrix, converting each number
+with the C library's ``strtod``, which rounds like Python's ``float()``;
+``ingest.load_matrix`` reads every other file in Python. ctypes releases
+the GIL for both calls.
 
 On first use the source is compiled with the system C compiler and the
 library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
 ``~/.cache/rnasel``, else a private per-user temporary directory), keyed by
 a hash of the source, the flags and the machine type. If no compiler is
-found, the build fails, the library will not load, or its bounded draw
-disagrees with ``Generator.integers``, ``load`` warns once and returns None,
-and the annealer runs the Python reference instead: slower, never a
-different answer.
+found, the build fails, the library will not load, its bounded draw
+disagrees with ``Generator.integers``, or its parser converts a hard decimal
+string to other bits than ``float()`` (a libc that misrounds, or a locale
+whose decimal point is not '.'), ``load`` warns once and returns None, and
+rnasel anneals and parses in Python instead: slower, never a different
+answer.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import hashlib
@@ -42,7 +49,7 @@ MAX_BOUND = 2**32
 
 
 class KernelFallbackWarning(RuntimeWarning):
-    """The C kernel is unavailable; annealing runs the Python reference."""
+    """The C library is unavailable; annealing and matrix parsing run in Python."""
 
 
 class _Unavailable(Exception):
@@ -116,8 +123,27 @@ def _build(cache: Path) -> Path:
     return target
 
 
+# Decimal strings that are hard to round correctly: exact halfway points and
+# their neighbours, the boundary between subnormal and normal numbers, the
+# halfway point under the smallest subnormal, long mantissas, and numbers
+# that overflow or underflow.
+PROBE_NUMBERS = (
+    "0.1", "-0", "+.5", "5.", "1E+2", "1e23", "8.589973e9", "7.038531e-26",
+    "9007199254740993", "9007199254740995", "123456789012345678e-30",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "1234567890123456789012345678901234567890",
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1e-400", "1e400",
+)
+
+
 def _probe(lib) -> None:
-    """Check the C bounded draw against Generator.integers on a short stream."""
+    """Check the C bounded draw against Generator.integers on a short stream,
+    and the C parser against float() on ``PROBE_NUMBERS``, bit for bit."""
     bounds = (1, 2, 3, 7, 10, 1000, 2**31 + 1, 2**32 - 1, 2**32) * 8
     mine, ref = np.random.default_rng(20210105), np.random.default_rng(20210105)
     bitgen = mine.bit_generator.ctypes.bit_generator
@@ -130,6 +156,15 @@ def _probe(lib) -> None:
             ref.random()
     if mine.bit_generator.state != ref.bit_generator.state:
         raise _Unavailable("C bounded draws left the generator in a different state")
+    numbers = "\t".join(PROBE_NUMBERS).encode()
+    row = bytearray(b"probe\t" + numbers + b"\n")
+    got = array.array("d")
+    if parse_rows(lib, row, 0, len(row), "\t", len(PROBE_NUMBERS), 1, got, len(row)) is None:
+        raise _Unavailable(f"C parser rejected the row {bytes(row)!r}")
+    want = array.array("d", map(float, PROBE_NUMBERS))
+    for k, text in enumerate(PROBE_NUMBERS):
+        if got[k:k + 1].tobytes() != want[k:k + 1].tobytes():
+            raise _Unavailable(f"C parser read {text!r} as {got[k]!r}, float() as {want[k]!r}")
 
 
 @functools.cache
@@ -143,10 +178,15 @@ def _load_once():
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         )
         lib.rnasel_anneal_chain.restype = None
+        lib.rnasel_parse_rows.argtypes = (
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+        )
+        lib.rnasel_parse_rows.restype = ctypes.c_int64
         _probe(lib)
     except (_Unavailable, OSError, AttributeError, subprocess.TimeoutExpired) as exc:
         warnings.warn(
-            f"C swap kernel unavailable ({exc}); annealing runs the slower Python kernel",
+            f"C library unavailable ({exc}); annealing and matrix parsing run the slower Python code",
             KernelFallbackWarning,
         )
         return None
@@ -157,7 +197,7 @@ _load_lock = threading.Lock()
 
 
 def load():
-    """The loaded kernel library, or None after a single warning."""
+    """The loaded library, or None after a single warning."""
     with _load_lock:
         return _load_once()
 
@@ -206,3 +246,33 @@ def anneal_chain(
         )
     state.norm_sum = chain.norm_sum
     return cur_trace, best_trace, accepted_trace
+
+
+def parse_rows(
+    lib, block: bytearray, start: int, stop: int, delim: str, width: int, rows: int,
+    values: array.array, max_field: int,
+):
+    """Parse the ``rows`` rows of ``block[start:stop]`` in C, appending their
+    numbers to ``values`` (an ``array("d")``).
+
+    Each row is an id, then ``width`` fields of ``delim`` and a number of the
+    form ``[+-]?(digits[.digits*]|.digits)([eE][+-]?digits)?``, then ``\\n`` or
+    ``\\r\\n``; the id holds no delimiter, quote, NUL or line break, and no field
+    is longer than ``max_field`` bytes. Returns each row's id as
+    ``[start, end)`` offsets into ``block``, a (rows, 2) array, or None if a
+    row is not of that form; ``values`` then holds ``rows * width`` numbers
+    more, not all parsed.
+    """
+    if not 0 <= start <= stop <= len(block):
+        raise ValueError(f"rows [{start}, {stop}) outside a block of {len(block)} bytes")
+    base = len(values)
+    values.frombytes(bytes(8 * rows * width))
+    spans = np.empty((rows, 2), dtype=np.int64)
+    got = lib.rnasel_parse_rows(
+        ctypes.addressof(ctypes.c_char.from_buffer(block)) + start, stop - start, ord(delim), width, max_field, rows,
+        values.buffer_info()[0] + 8 * base, spans.ctypes.data,
+    )
+    if got != rows:
+        return None
+    spans += start
+    return spans

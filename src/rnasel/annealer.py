@@ -22,8 +22,10 @@ bits, so the backend never changes a selection or a trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -93,14 +95,22 @@ class AnnealTrace:
     chain: int
 
     def to_csv(self, path) -> None:
-        columns = (self.temperature, self.current_u, self.best_u, self.accepted_count)
-        lines = ["step,temperature,current_u,best_u,accepted_count\n"]
-        lines += [
-            f"{step},{t!r},{cur!r},{best!r},{acc}\n"
-            for step, (t, cur, best, acc) in enumerate(zip(*(c.tolist() for c in columns)))
-        ]
+        columns = (self.current_u, self.best_u, self.accepted_count)
+        rows = zip(_row_heads(self.temperature.tobytes()), *(c.tolist() for c in columns))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+            fh.write("step,temperature,current_u,best_u,accepted_count\n")
+            # a thousand rows per write: the text of a whole trace at once
+            # would add more to peak memory than the cached row heads do
+            while chunk := list(islice(rows, 1000)):
+                fh.write("".join([f"{head}{cur!r},{best!r},{acc}\n" for head, cur, best, acc in chunk]))
+
+
+@functools.lru_cache(maxsize=4)
+def _row_heads(temperature: bytes) -> tuple[str, ...]:
+    """``"step,temperature,"`` of each ``trace.csv`` row, formatted once per
+    temperature column: every cell of a sweep runs the same (t_init, t_final,
+    gamma), so their traces share it."""
+    return tuple(f"{step},{t!r}," for step, t in enumerate(np.frombuffer(temperature).tolist()))
 
 
 def chain_rng(seed: int, chain: int) -> np.random.Generator:

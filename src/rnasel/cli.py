@@ -256,16 +256,9 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_dissimilarity(path, dis: clustering.DissimilarityMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label\t" + "\t".join(dis.labels) + "\n")
-        for i, label in enumerate(dis.labels):
-            fh.write(label + "\t" + "\t".join(f"{v:.17g}" for v in dis.d[i]) + "\n")
-
-
 def _cluster_outputs(cell_dir: Path, labels, profiles, config: RunConfig, title: str) -> dict:
     dis = clustering.dissimilarity(labels, profiles)
-    _write_dissimilarity(cell_dir / "dissimilarity.tsv", dis)
+    ingest.write_table(cell_dir / "dissimilarity.tsv", "label", dis.labels, dis.labels, dis.d)
     dend = clustering.average_linkage(dis)
     entry: dict = {"dissimilarity": "dissimilarity.tsv", "dendrogram": {}}
     want = (config.format,) if config.format != "all" else ("newick", "json", "svg")

@@ -21,11 +21,14 @@ from __future__ import annotations
 import array
 import csv
 import itertools
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _ckernel
 from .errors import ValidationError
 from .model import (
     ROLE_TREATED,
@@ -100,14 +103,91 @@ def _raise_for_row(path, fmt: str | None, index: int, sample_ids) -> None:
     raise ValidationError(f"{path}:{line}: row changed while the file was read")
 
 
-def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestReport]:
-    """Parse and validate an expression matrix file.
+# Bytes read from a matrix file at a time by the compiled parser. A block
+# larger than 256 KiB adds to peak memory and saves no time.
+_BLOCK = 1 << 18
 
-    Features that are zero in every sample are dropped (they carry no signal
-    and break correlation) and listed in the report. An error names the first
-    offending cell in file order: before raising for a row it cannot parse,
-    the rows read so far are checked as one block.
+
+def _parse_compiled(path, delim: str):
+    """``(sample ids, feature ids, values)`` of a matrix file parsed in the C
+    library, or None if the library is not loaded or the file is not in the
+    form it reads.
+
+    The file is read in blocks of ``_BLOCK`` bytes (less for a smaller file,
+    more for a longer row), each cut after its last newline. It must be a
+    regular file, in UTF-8, with a ``feature_id`` header of at least two
+    sample ids and no quote, NUL or carriage return other than one ending a
+    line; every later line a row as ``_ckernel.parse_rows`` reads it, ending
+    in a newline; and every value finite and not negative. Anything else is
+    left to the Python parser, which then names the fault.
     """
+    lib = _ckernel.load()
+    if lib is None:
+        return None
+    try:
+        info = os.stat(path)
+    except OSError:  # the Python parser reports it
+        return None
+    if not stat.S_ISREG(info.st_mode):  # a pipe could not be read again
+        return None
+    max_field = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        block = bytearray(min(_BLOCK, info.st_size + 1))
+        view = memoryview(block)
+        size = fh.readinto(block)
+        pos = block.find(b"\n", 0, size) + 1
+        if not pos:
+            return None
+        header = bytes(view[:pos - 1]).removesuffix(b"\r")
+        if any(c in header for c in (b'"', b"\0", b"\r")):
+            return None
+        try:
+            header_cells = [cell.strip() for cell in header.decode("utf-8").split(delim)]
+        except UnicodeDecodeError:
+            return None
+        sample_ids = header_cells[1:]
+        width = len(sample_ids)
+        if header_cells[0] != "feature_id" or width < 2:
+            return None
+        feature_ids = []
+        levels = array.array("d")
+        while True:
+            cut = block.rfind(b"\n", pos, size) + 1
+            if cut:
+                spans = _ckernel.parse_rows(
+                    lib, block, pos, cut, delim, width, block.count(b"\n", pos, cut), levels, max_field
+                )
+                if spans is None:
+                    return None
+                try:
+                    feature_ids += [str(view[s:e], "utf-8").strip() for s, e in spans.tolist()]
+                except UnicodeDecodeError:
+                    return None
+                pos = cut
+            tail = size - pos
+            if tail == len(block):  # a row longer than the block
+                grown = bytearray(2 * len(block))
+                grown[:size] = block
+                block, view = grown, memoryview(grown)
+            else:
+                view[:tail] = view[pos:size]
+            read = fh.readinto(view[tail:])
+            if not read:
+                break
+            pos, size = 0, tail + read
+    if tail:  # the last row does not end in a newline
+        return None
+    values = np.frombuffer(levels, np.float64).reshape(-1, width)
+    if not (np.isfinite(values) & (values >= 0)).all():
+        return None
+    return sample_ids, feature_ids, values
+
+
+def _parse_python(path, fmt: str | None):
+    """``(sample ids, feature ids, values)`` of a matrix file, parsed with
+    ``csv.reader`` and ``float()``; raises for the first offending cell in
+    file order. Before raising for a row it cannot parse, the rows read so far
+    are checked as one block."""
     rows, line, header = _open_rows(path, fmt, "matrix")
     if header[0] != "feature_id":
         raise ValidationError(f"{path}:{line}: first header field must be 'feature_id', got {header[0]!r}")
@@ -138,7 +218,21 @@ def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestR
             check_rows_read()
             _raise_for_row(path, fmt, len(feature_ids), sample_ids)
         feature_ids.append(row[0].strip())
-    values = check_rows_read()
+    return sample_ids, feature_ids, check_rows_read()
+
+
+def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestReport]:
+    """Parse and validate an expression matrix file.
+
+    A well-formed file (see ``_parse_compiled``) is parsed in the C library
+    when it is loaded; any other file, and every file when it is not, by
+    ``csv.reader`` and ``float()``, which alone raise errors. Both give the
+    same bits: ``strtod`` and ``float()`` each round to the nearest double.
+    Features that are zero in every sample are dropped (they carry no signal
+    and break correlation) and listed in the report. An error names the first
+    offending cell in file order.
+    """
+    sample_ids, feature_ids, values = _parse_compiled(path, _delimiter(path, fmt)) or _parse_python(path, fmt)
     keep = values.any(axis=1)
     report = IngestReport()
     if not keep.all():
@@ -260,17 +354,19 @@ def compute_ratios(matrix: ExpressionMatrix, meta: SampleMeta, report: IngestRep
     return RatioMatrix(matrix.feature_ids, tuple(treated_ids), ratios)
 
 
-def _fmt_value(v: float) -> str:
-    return f"{v:.17g}"
+def write_table(path, corner: str, column_ids, row_ids, values: np.ndarray, delim: str = "\t") -> None:
+    """Write a labelled table of floats: a header of ``corner`` and the column
+    ids, then each row id and its values as ``%.17g``, which reads back to the
+    same double."""
+    row_format = "%s" + delim + delim.join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(corner + delim + delim.join(column_ids) + "\n")
+        for row_id, row in zip(row_ids, values):
+            fh.write(row_format % (row_id, *row.tolist()))
 
 
 def write_matrix(matrix: ExpressionMatrix, path, fmt: str | None = None) -> None:
-    delim = _delimiter(path, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature_id" + delim + delim.join(matrix.sample_ids) + "\n")
-        for i, fid in enumerate(matrix.feature_ids):
-            row = delim.join(_fmt_value(v) for v in matrix.values[i])
-            fh.write(fid + delim + row + "\n")
+    write_table(path, "feature_id", matrix.sample_ids, matrix.feature_ids, matrix.values, _delimiter(path, fmt))
 
 
 def write_meta(meta: SampleMeta, path, fmt: str | None = None) -> None:

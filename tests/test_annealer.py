@@ -358,3 +358,22 @@ class TestRun:
             "0,1.0,0.1,1e-320,0\n"
             "1,0.30000000000000004,1e-320,0.3333333333333333,7\n"
         )
+
+    def test_trace_csv_long_traces_that_share_a_schedule(self, tmp_path):
+        # the row heads are formatted once per temperature column and rows
+        # are written a thousand at a time; neither may change a byte
+        rng = np.random.default_rng(4)
+        steps = 2500
+        shared = 0.999 ** np.arange(steps)
+        for temperature in (shared, shared.copy(), shared[: steps - 1], rng.random(steps)):
+            n = len(temperature)
+            trace = AnnealTrace(
+                temperature=temperature, current_u=rng.random(n), best_u=rng.random(n),
+                accepted_count=rng.integers(0, 50, n), selection=Selection((0,), 0.5, 0.5, 0.5), seed=3, chain=0,
+            )
+            path = tmp_path / "trace.csv"
+            trace.to_csv(path)
+            rows = zip(*(c.tolist() for c in (temperature, trace.current_u, trace.best_u, trace.accepted_count)))
+            assert path.read_text(encoding="utf-8") == "step,temperature,current_u,best_u,accepted_count\n" + "".join(
+                f"{k},{t!r},{cur!r},{best!r},{acc}\n" for k, (t, cur, best, acc) in enumerate(rows)
+            )

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import tempfile
@@ -104,3 +105,24 @@ def test_cache_falls_back_to_a_private_temporary_directory(monkeypatch, tmp_path
     path.chmod(0o777)
     with pytest.raises(_ckernel._Unavailable, match="not a private directory"):
         _ckernel.cache_dir()
+
+
+@needs_compiler
+def test_parser_that_rejects_a_probe_number_is_not_used(fresh_loader, monkeypatch):
+    monkeypatch.setattr(_ckernel, "PROBE_NUMBERS", (*_ckernel.PROBE_NUMBERS, "nan"))
+    with pytest.warns(_ckernel.KernelFallbackWarning, match="C parser rejected"):
+        assert _ckernel.load() is None
+
+
+@needs_compiler
+def test_parser_that_misrounds_is_not_used(fresh_loader, monkeypatch):
+    parse_rows = _ckernel.parse_rows
+
+    def misround(lib, block, start, stop, delim, width, rows, values, max_field):
+        spans = parse_rows(lib, block, start, stop, delim, width, rows, values, max_field)
+        values[5] = math.nextafter(values[5], math.inf)  # the probe's 1e23
+        return spans
+
+    monkeypatch.setattr(_ckernel, "parse_rows", misround)
+    with pytest.warns(_ckernel.KernelFallbackWarning, match=r"C parser read '1e23' as 1\.0000000000000001e\+23"):
+        assert _ckernel.load() is None

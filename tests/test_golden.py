@@ -6,11 +6,16 @@ with the quick-start flags (two ``--n``, two ``--alpha``, a short schedule,
 is pinned, except ``timings.json``, which holds wall-clock times. A change
 that alters any exported byte (a trace float, an SVG coordinate, a dropped
 row) fails here; one that means to change an output updates the hash and
-says so.
+says so. It runs twice: with the compiled library, which parses the matrix
+and anneals, and without it, when both run in Python; the hashes are the
+same.
 """
 
 import hashlib
 
+import pytest
+
+from rnasel import _ckernel
 from rnasel.cli import main
 
 GOLDEN = {
@@ -54,7 +59,12 @@ GOLDEN = {
 }
 
 
-def test_quick_start_outputs_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_quick_start_outputs_are_byte_identical(tmp_path, monkeypatch, backend):
+    if backend == "python":
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+    elif _ckernel.load() is None:
+        pytest.skip("the C library cannot be built here")
     data, out = tmp_path / "data", tmp_path / "out"
     assert main(["synth", "--out-dir", str(data), "--features", "60", "--informative", "10", "--seed", "7"]) == 0
     assert main([

@@ -1,6 +1,13 @@
+import array
+import os
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rnasel import _ckernel, ingest
 from rnasel.errors import ValidationError
 from rnasel.ingest import (
     IngestReport,
@@ -165,6 +172,18 @@ class TestLoadMatrix:
         m, _ = load_matrix(write(tmp_path / "m.tsv", text))
         assert m.values[0].tolist() == [float(tok) for tok in tokens]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        fifo = tmp_path / "m.tsv"
+        os.mkfifo(fifo)
+        threading.Thread(target=fifo.write_text, args=(MATRIX_TSV,), daemon=True).start()
+        loaded = []
+        reader = threading.Thread(target=lambda: loaded.append(load_matrix(fifo)), daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert loaded, "load_matrix did not read the pipe"
+        assert loaded[0][0].feature_ids == ("f0", "f1", "f2")
+
     def test_quoted_fields_whitespace_rows_and_padding(self, tmp_path):
         text = (
             'feature_id,"s0", s1 \n'
@@ -177,6 +196,166 @@ class TestLoadMatrix:
         assert m.sample_ids == ("s0", "s1")
         assert m.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
         assert report.dropped_features == []
+
+
+def compiled_library():
+    lib = _ckernel.load()
+    if lib is None:
+        pytest.skip("the C library cannot be built here")
+    return lib
+
+
+def parse_one_row(lib, tokens, delim="\t"):
+    """The numbers the C parser reads from one row of ``tokens``, or None."""
+    row = bytearray(("f" + delim + delim.join(tokens) + "\n").encode())
+    values = array.array("d")
+    if _ckernel.parse_rows(lib, row, 0, len(row), delim, len(tokens), 1, values, len(row)) is None:
+        return None
+    return values
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=60)
+NUMBER_TEXT = st.one_of(
+    st.builds(
+        str.format,
+        st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:.0f}"]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.builds(repr, st.floats(min_value=0.0, max_value=2.2250738585072014e-308)),
+    st.builds(
+        "{}{}.{}e{}".format,
+        st.sampled_from(["", "+", "-"]), DIGITS, st.text("0123456789", max_size=60),
+        st.one_of(st.integers(-400, 400), st.integers(-345, -300)),
+    ),
+)
+
+
+class TestCompiledParser:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(NUMBER_TEXT, min_size=1, max_size=12))
+    def test_numbers_have_the_bits_of_float(self, tokens):
+        got = parse_one_row(compiled_library(), tokens)
+        assert got is not None
+        assert got.tobytes() == array.array("d", map(float, tokens)).tobytes()
+
+    @pytest.mark.parametrize("token", [
+        "", " 1", "1 ", "1_0", "\u0661", "nan", "inf", "0x1p3", "1e", "1e+", ".", "+", "e5", "1.5.2", "1,5",
+    ])
+    def test_rejects_numbers_outside_the_strict_form(self, token):
+        assert parse_one_row(compiled_library(), ["1", token]) is None
+
+    def test_stops_at_the_first_bad_row_and_reads_only_its_block(self):
+        lib = compiled_library()
+        block = bytearray(b"a\t1\t2\nb\t3\t4\r\nc\t5\t6\nd\t7\t8\n")
+        values = array.array("d")
+        spans = _ckernel.parse_rows(lib, block, 0, len(block), "\t", 2, 3, values, 100)
+        assert [bytes(block[s:e]) for s, e in spans.tolist()] == [b"a", b"b", b"c"]
+        assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        # the block ends inside the last number's row end: no row is read past it
+        assert _ckernel.parse_rows(lib, block, 0, len(block) - 1, "\t", 2, 4, array.array("d"), 100) is None
+        assert _ckernel.parse_rows(lib, block, 0, 10, "\t", 2, 2, array.array("d"), 100) is None
+        # a field longer than max_field
+        assert _ckernel.parse_rows(lib, block, 0, 6, "\t", 2, 1, array.array("d"), 0) is None
+        with pytest.raises(ValueError, match="outside"):
+            _ckernel.parse_rows(lib, block, 0, len(block) + 1, "\t", 2, 4, array.array("d"), 100)
+
+
+def load_outcome(path):
+    """What ``load_matrix`` gives for ``path``: the matrix and report, or the
+    exception's type and message."""
+    try:
+        matrix, report = load_matrix(path)
+    except ValueError as exc:  # ValidationError, or UnicodeDecodeError
+        return type(exc), str(exc)
+    return matrix.feature_ids, matrix.sample_ids, matrix.values.tobytes(), report
+
+
+def assert_paths_agree(path, monkeypatch, compiled: bool):
+    """The C and Python paths give the same outcome; ``compiled`` says
+    whether the C path takes the file."""
+    compiled_library()
+    took = ingest._parse_compiled(path, ingest._delimiter(path, None)) is not None
+    fast = load_outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(_ckernel, "load", lambda: None)
+        slow = load_outcome(path)
+    assert fast == slow
+    assert took == compiled
+
+
+HEAD = b"feature_id\ts0\ts1\n"
+GOOD = b"f0\t1.5\t2\nf1\t0\t4e-1\n"
+
+
+class TestCompiledPathMatchesPython:
+    @pytest.mark.parametrize("text, compiled", [
+        (HEAD + GOOD, True),
+        (HEAD + b"f0\t1.5\t2\r\nf1\t0\t4e-1\r\n", True),
+        (HEAD.replace(b"\n", b"\r\n") + GOOD, True),
+        (b"\xef\xbb\xbf" + HEAD + GOOD, False),
+        (HEAD + b'"f0"\t1.5\t2\nf1\t0\t4e-1\n', False),
+        (HEAD + b'f0\t"1.5"\t2\nf1\t0\t4e-1\n', False),
+        (b'feature_id\t"s0"\ts1\n' + GOOD, False),
+        (HEAD + b"f\x000\t1.5\t2\nf1\t0\t4e-1\n", False),
+        (HEAD + b"f0\t1.5\r\t2\nf1\t0\t4e-1\n", False),
+        (HEAD + b"f0\r\t1.5\t2\nf1\t0\t4e-1\n", False),
+        (HEAD + b"f0\t1.5\t2\rf1\t0\t4e-1\n", False),
+        (HEAD + b"f0\t1.5\t2\n\nf1\t0\t4e-1\n", False),
+        (HEAD + b"f0\t1.5\t2\n \t \t \nf1\t0\t4e-1\n", False),
+        (b"\n" + HEAD + GOOD, False),
+        (HEAD + b"f0\t 1.5 \t2\nf1\t0\t4e-1\n", False),
+        (HEAD + GOOD + b"f2\t1_0\t1\n", False),
+        (HEAD + GOOD + "f2\t\u0661\u0662\t1\n".encode(), False),
+        (HEAD + GOOD + b"f2\tnan\t1\n", False),
+        (HEAD + GOOD + b"f2\t1\tinf\n", False),
+        (HEAD + GOOD + b"f2\t1e400\t1\n", False),
+        (HEAD + GOOD + b"f2\t1\t-2\n", False),
+        (HEAD + GOOD + b"f2\t1\n", False),
+        (HEAD + GOOD + b"f2\t1\t2\t3\n", False),
+        (HEAD + GOOD + b"f2\t1\t2", False),
+        (HEAD + GOOD + "g\u00e8ne \u03b1\t1\t2\n".encode(), True),
+        (HEAD + GOOD + b"f\xff\t1\t2\n", False),
+        (HEAD + GOOD + b"  f2  \t-0\t.5\nf3\t0\t0\nf4\t0.0\t0e5\n", True),
+        (HEAD + GOOD + b"f2\t+5.\t1E+2\nf3\t1e-400\t9007199254740993\n", True),
+        (HEAD + GOOD + b"f0\t1\t2\n", True),
+        (HEAD, True),
+        (b"feature_id\ts0\n" + b"f0\t1\nf1\t2\n", False),
+        (b"gene\ts0\ts1\n" + GOOD, False),
+        (b"", False),
+    ])
+    def test_tsv(self, tmp_path, monkeypatch, text, compiled):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(text)
+        assert_paths_agree(path, monkeypatch, compiled)
+
+    @pytest.mark.parametrize("text, compiled", [
+        (b"feature_id,s0,s1\nf0,1.5,2\nf1,0,4e-1\n", True),
+        (b"feature_id,s0,s1\nf0,1.5,2\nf1,0,4e-1,\n", False),
+        (b'feature_id,s0,s1\n"f,0",1.5,2\nf1,0,4e-1\n', False),
+        (b"feature_id,s0,s1\nf0\t1.5,2,3\nf1,0,4e-1\n", True),
+    ])
+    def test_csv(self, tmp_path, monkeypatch, text, compiled):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        assert_paths_agree(path, monkeypatch, compiled)
+
+    @pytest.mark.parametrize("block", [ingest._BLOCK, 256, 64])
+    def test_rows_split_across_blocks(self, tmp_path, monkeypatch, block):
+        rng = np.random.default_rng(5)
+        formats = ("{!r}", "{:.3e}", "{:.17g}", "{:.0f}", "0", "{:.40f}")
+        lines = [b"feature_id\ts0\ts1\ts2"]
+        size = 0
+        while size <= ingest._BLOCK + 4096:
+            row = [formats[int(rng.integers(len(formats)))].format(v) for v in rng.lognormal(0, 6, 3).tolist()]
+            ending = b"\r" if rng.random() < 0.1 else b""
+            fid = f"f{len(lines)}" if rng.random() < 0.9 else f"\u00e9{len(lines)}"
+            lines.append(("\t".join([fid, *row])).encode() + ending)
+            size += len(lines[-1]) + 1
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert path.stat().st_size > ingest._BLOCK
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        assert_paths_agree(path, monkeypatch, True)
 
 
 class TestLoadMeta:
