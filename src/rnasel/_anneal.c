@@ -12,6 +12,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* numpy/random/bitgen.h */
 typedef struct {
@@ -144,32 +145,149 @@ void rnasel_anneal_chain(chain_t *c, bitgen_t *bg, const double *temperatures, i
     }
 }
 
+/* The decimal w * 10^q read from a number: w holds its first 19 significant
+ * digits, and exact is 0 if a digit after those is not zero or the exponent
+ * reached EXPONENT_CAP. */
+typedef struct {
+    uint64_t w;
+    int64_t q;
+    int negative, exact;
+} decimal_t;
+
+/* Exponent digits stop counting at this value; strtod converts the number. */
+#define EXPONENT_CAP 100000
+
 /* Length of the number at p (at most end - p bytes) in the form
  * [+-]?(digits[.digits*]|.digits)([eE][+-]?digits)?, or -1 if it does not
- * start with one. Every such number is also a Python float literal. */
-static int64_t number_length(const char *p, const char *end)
+ * start with one; its value goes to *d. Every such number is also a Python
+ * float literal. */
+static int64_t scan_number(const char *p, const char *end, decimal_t *d)
 {
     const char *q = p;
-    int64_t digits = 0;
+    int64_t digits = 0, exponent = 0;
+    int kept = 0, fraction = 0;
+    d->w = 0;
+    d->q = 0;
+    d->exact = 1;
+    d->negative = q < end && *q == '-';
     if (q < end && (*q == '+' || *q == '-'))
         q++;
-    for (; q < end && *q >= '0' && *q <= '9'; q++)
+    for (;; q++) {
+        if (q < end && *q == '.' && !fraction) {
+            fraction = 1;
+            continue;
+        }
+        if (q == end || *q < '0' || *q > '9')
+            break;
         digits++;
-    if (q < end && *q == '.')
-        for (q++; q < end && *q >= '0' && *q <= '9'; q++)
-            digits++;
+        if (kept < 19) { /* leading zeros keep w at 0 and do not count */
+            d->w = 10 * d->w + (uint64_t)(*q - '0');
+            kept += d->w != 0;
+            d->q -= fraction;
+        } else {
+            d->exact &= *q == '0';
+            d->q += !fraction;
+        }
+    }
     if (digits == 0)
         return -1;
     if (q < end && (*q == 'e' || *q == 'E')) {
         const char *e = q + 1;
+        int minus = e < end && *e == '-';
         if (e < end && (*e == '+' || *e == '-'))
             e++;
         if (e == end || *e < '0' || *e > '9')
             return -1;
         for (q = e; q < end && *q >= '0' && *q <= '9'; q++)
-            ;
+            if (exponent < EXPONENT_CAP)
+                exponent = 10 * exponent + (*q - '0');
+        d->exact &= exponent < EXPONENT_CAP;
+        d->q += minus ? -exponent : exponent;
     }
     return q - p;
+}
+
+/* 64 x 64 -> 128-bit product: returns the high word, stores the low one. */
+static uint64_t multiply(uint64_t a, uint64_t b, uint64_t *low)
+{
+    const uint64_t mask = 0xFFFFFFFFu;
+    uint64_t a0 = a & mask, a1 = a >> 32, b0 = b & mask, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t middle = (p00 >> 32) + (p01 & mask) + (p10 & mask);
+    *low = middle << 32 | (p00 & mask);
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32);
+}
+
+/* Leading zero bits of x, for 0 < x < 2^64 - 2^11, read from the exponent of
+ * (double)x; a conversion that rounds up to the next power of two reads one
+ * too few. As fast as a count-leading-zeros instruction, and plain C. */
+static int leading_zeros(uint64_t x)
+{
+    double d = (double)x;
+    uint64_t bits;
+    int n;
+    memcpy(&bits, &d, sizeof bits);
+    n = 1086 - (int)(bits >> 52);
+    return n + !(x << n >> 63);
+}
+
+/* The table pow5 holds 5^q for q in [POW5_MIN_Q, POW5_MAX_Q] as 128-bit
+ * (high, low) word pairs; rnasel._ckernel.powers_of_five builds it. */
+#define POW5_MIN_Q (-342)
+#define POW5_MAX_Q 308
+
+/* The double nearest to d (ties to even), by the Eisel-Lemire algorithm
+ * (Lemire, "Number Parsing at a Gigabyte per Second", 2021). Returns 0 and
+ * leaves *value alone where it does not apply: more than 19 significant
+ * digits, q outside the table, a subnormal or infinite result, or the rare
+ * product that cannot decide the rounding. */
+static int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
+{
+    const uint64_t *p5;
+    uint64_t w = d->w, high, low, high2, low2, mantissa, bits;
+    int64_t power2, scaled;
+    int lz, upper, shift;
+    if (w == 0) {
+        *value = d->negative ? -0.0 : 0.0;
+        return 1;
+    }
+    if (!d->exact || d->q < POW5_MIN_Q || d->q > POW5_MAX_Q)
+        return 0;
+    p5 = pow5 + 2 * (d->q - POW5_MIN_Q);
+    lz = leading_zeros(w);
+    w <<= lz;
+    high = multiply(w, p5[0], &low);
+    if ((high & 0x1FF) == 0x1FF) { /* the truncated part may carry into the 55 bits kept */
+        high2 = multiply(w, p5[1], &low2);
+        low += high2;
+        high += low < high2;
+    }
+    /* the product may lie just under a rounding boundary; only for q in
+     * [-27, 55] is the table entry exact enough to tell */
+    if (low == UINT64_MAX && (d->q < -27 || d->q > 55))
+        return 0;
+    upper = (int)(high >> 63);
+    shift = upper + 9;
+    mantissa = high >> shift;
+    scaled = 217706 * d->q; /* floor(q * log2(10)) = floor(scaled / 2^16) */
+    power2 = (scaled >= 0 ? scaled >> 16 : -((-scaled + 0xFFFF) >> 16)) + 63 + upper - lz + 1023;
+    if (power2 <= 0)
+        return 0;
+    /* An exact halfway point rounds to even, not up. Only for q in [-4, 23]
+     * can w * 5^q be one, and then nothing below the kept bits is set. */
+    if (low <= 1 && d->q >= -4 && d->q <= 23 && (mantissa & 3) == 1 && mantissa << shift == high)
+        mantissa &= ~(uint64_t)1;
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if (mantissa >= (uint64_t)2 << 52) { /* rounding carried into a new bit */
+        mantissa = (uint64_t)1 << 52;
+        power2++;
+    }
+    if (power2 >= 0x7FF)
+        return 0;
+    bits = (uint64_t)power2 << 52 | (mantissa & (((uint64_t)1 << 52) - 1)) | (uint64_t)d->negative << 63;
+    memcpy(value, &bits, sizeof bits);
+    return 1;
 }
 
 /* Parse the complete rows of buf[0, len), each "id" then `width` fields
@@ -177,10 +295,11 @@ static int64_t number_length(const char *p, const char *end)
  * that form. The id holds no delimiter, quote, NUL, "\r" or "\n"; no field
  * is longer than max_field bytes. Row r's numbers go to
  * values[r * width, (r + 1) * width) and its id to buf[id_span[2r],
- * id_span[2r + 1]). Reads nothing outside buf[0, len) and parses at most
+ * id_span[2r + 1]). Each number is converted by eisel_lemire with the table
+ * pow5, else by strtod. Reads nothing outside buf[0, len) and parses at most
  * max_rows rows; returns how many it parsed. */
 int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width, int64_t max_field,
-                          int64_t max_rows, double *values, int64_t *id_span)
+                          int64_t max_rows, const uint64_t *pow5, double *values, int64_t *id_span)
 {
     const char *end = buf + len, *p = buf;
     int64_t rows = 0;
@@ -196,8 +315,8 @@ int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width
         id_span[2 * rows + 1] = p - buf;
         for (int64_t k = 0; k < width; k++) {
             const char *field = ++p; /* past the delimiter */
-            int64_t n = number_length(field, end);
-            char *stop;
+            decimal_t d;
+            int64_t n = scan_number(field, end, &d);
             if (n < 0 || n > max_field)
                 return rows;
             p = field + n;
@@ -207,10 +326,13 @@ int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width
             if (k + 1 < width ? *p != delim
                               : !(*p == '\n' || (*p == '\r' && p + 1 < end && p[1] == '\n')))
                 return rows;
-            /* strtod reads the validated number and stops at the byte after it */
-            out[k] = strtod(field, &stop);
-            if (stop != p)
-                return rows;
+            if (!eisel_lemire(&d, pow5, out + k)) {
+                /* strtod reads the validated number and stops at the byte after it */
+                char *stop;
+                out[k] = strtod(field, &stop);
+                if (stop != p)
+                    return rows;
+            }
         }
         p += *p == '\r' ? 2 : 1;
     }

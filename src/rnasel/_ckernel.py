@@ -6,19 +6,24 @@ chain of swap moves in one call, exactly as the Python reference
 floating-point operations in the same order, libm's ``exp`` and ``sqrt``,
 and the chain's own PCG64 stream, read through numpy's public ``bitgen_t``
 interface with ``Generator.integers``' bounded-draw rule. ``parse_rows``
-reads the well-formed rows of an expression matrix, converting each number
-with the C library's ``strtod``, which rounds like Python's ``float()``;
-``ingest.load_matrix`` reads every other file in Python. ctypes releases
-the GIL for both calls.
+reads the well-formed rows of an expression matrix and converts each number
+to the nearest double, as Python's ``float()`` does: by the Eisel-Lemire
+algorithm (Lemire, "Number Parsing at a Gigabyte per Second", 2021) with the
+table ``powers_of_five``, and with the C library's ``strtod`` for the few
+numbers it leaves (more than 19 significant digits, a subnormal or infinite
+result, an exponent outside the table, or a rounding it cannot decide).
+``ingest.load_matrix`` reads every other file in Python. ctypes releases the
+GIL for both calls.
 
 On first use the source is compiled with the system C compiler and the
 library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
 ``~/.cache/rnasel``, else a private per-user temporary directory), keyed by
 a hash of the source, the flags and the machine type. If no compiler is
 found, the build fails, the library will not load, its bounded draw
-disagrees with ``Generator.integers``, or its parser converts a hard decimal
-string to other bits than ``float()`` (a libc that misrounds, or a locale
-whose decimal point is not '.'), ``load`` warns once and returns None, and
+disagrees with ``Generator.integers``, or its parser converts one of
+``PROBE_NUMBERS`` to other bits than ``float()`` (a broken converter branch
+or table entry, a libc that misrounds, or a locale whose decimal point is not
+'.'), ``load`` warns once and returns None, and
 rnasel anneals and parses in Python instead: slower, never a different
 answer.
 """
@@ -123,13 +128,18 @@ def _build(cache: Path) -> Path:
     return target
 
 
-# Decimal strings that are hard to round correctly: exact halfway points and
-# their neighbours, the boundary between subnormal and normal numbers, the
-# halfway point under the smallest subnormal, long mantissas, and numbers
-# that overflow or underflow.
+# Decimal strings that are hard to round correctly, and at least one for each
+# branch of the C converter: exact halfway points (ties to even at 10^-1,
+# 10^0, 10^1 and 10^23) and their neighbours, a near-halfway point that only
+# the table's low word decides, results that round up to a power of two, the
+# boundary between subnormal and normal numbers, the halfway point under the
+# smallest subnormal, mantissas of 20 and more digits, and numbers that
+# overflow or underflow.
 PROBE_NUMBERS = (
     "0.1", "-0", "+.5", "5.", "1E+2", "1e23", "8.589973e9", "7.038531e-26",
     "9007199254740993", "9007199254740995", "123456789012345678e-30",
+    "4503599627370496.5", "1801439850948201e1", "3.1336504494449907e-198",
+    "0.99999999999999999", "98765432109876543219", "1.8e308",
     "1.00000000000000011102230246251565404236316680908203125",
     "1.00000000000000011102230246251565404236316680908203124",
     "1.00000000000000011102230246251565404236316680908203126",
@@ -180,7 +190,7 @@ def _load_once():
         lib.rnasel_anneal_chain.restype = None
         lib.rnasel_parse_rows.argtypes = (
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         )
         lib.rnasel_parse_rows.restype = ctypes.c_int64
         _probe(lib)
@@ -248,6 +258,31 @@ def anneal_chain(
     return cur_trace, best_trace, accepted_trace
 
 
+@functools.cache
+def powers_of_five() -> np.ndarray:
+    """The table of ``eisel_lemire`` in ``_anneal.c``: 5**q for q in [-342, 308]
+    as read-only (high, low) ``uint64`` word pairs of a 128-bit number.
+
+    For q >= 0 it is the top 128 bits of 5**q, truncated. For q < 0 it is
+    ``2**b // 5**-q + 1`` with ``z = ceil(log2(5**-q))`` and ``b = z + 127``
+    (q >= -27) or ``b = 2z + 128`` (q < -27), cut to its top 128 bits.
+    """
+    rows = []
+    for q in range(-342, 309):
+        power = 5 ** abs(q)
+        if q >= 0:
+            shift = 128 - power.bit_length()
+            entry = power << shift if shift >= 0 else power >> -shift
+        else:
+            z = power.bit_length()  # = ceil(log2(power)): a power of 5 is no power of 2
+            entry = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // power + 1
+            entry >>= max(entry.bit_length() - 128, 0)
+        rows.append((entry >> 64, entry & (2**64 - 1)))
+    table = np.array(rows, dtype=np.uint64)
+    table.setflags(write=False)
+    return table
+
+
 def parse_rows(
     lib, block: bytearray, start: int, stop: int, delim: str, width: int, rows: int,
     values: array.array, max_field: int,
@@ -258,7 +293,9 @@ def parse_rows(
     Each row is an id, then ``width`` fields of ``delim`` and a number of the
     form ``[+-]?(digits[.digits*]|.digits)([eE][+-]?digits)?``, then ``\\n`` or
     ``\\r\\n``; the id holds no delimiter, quote, NUL or line break, and no field
-    is longer than ``max_field`` bytes. Returns each row's id as
+    is longer than ``max_field`` bytes. Each number gets ``float()``'s bits,
+    from the Eisel-Lemire converter with ``powers_of_five()`` or, in the cases
+    the module docstring lists, from ``strtod``. Returns each row's id as
     ``[start, end)`` offsets into ``block``, a (rows, 2) array, or None if a
     row is not of that form; ``values`` then holds ``rows * width`` numbers
     more, not all parsed.
@@ -270,7 +307,7 @@ def parse_rows(
     spans = np.empty((rows, 2), dtype=np.int64)
     got = lib.rnasel_parse_rows(
         ctypes.addressof(ctypes.c_char.from_buffer(block)) + start, stop - start, ord(delim), width, max_field, rows,
-        values.buffer_info()[0] + 8 * base, spans.ctypes.data,
+        powers_of_five().ctypes.data, values.buffer_info()[0] + 8 * base, spans.ctypes.data,
     )
     if got != rows:
         return None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -250,10 +251,18 @@ def _sample_labels(meta: SampleMeta, sample_ids) -> list[str]:
     return labels
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then rename it, so
+    a run killed while writing leaves the earlier file or none, never part of one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cluster_outputs(cell_dir: Path, labels, profiles, config: RunConfig, title: str) -> dict:

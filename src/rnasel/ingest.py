@@ -227,7 +227,8 @@ def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestR
     A well-formed file (see ``_parse_compiled``) is parsed in the C library
     when it is loaded; any other file, and every file when it is not, by
     ``csv.reader`` and ``float()``, which alone raise errors. Both give the
-    same bits: ``strtod`` and ``float()`` each round to the nearest double.
+    same bits: the C converter (Eisel-Lemire, else ``strtod``) and ``float()``
+    each round to the nearest double, and a load-time probe checks that.
     Features that are zero in every sample are dropped (they carry no signal
     and break correlation) and listed in the report. An error names the first
     offending cell in file order.
@@ -325,32 +326,36 @@ def compute_ratios(matrix: ExpressionMatrix, meta: SampleMeta, report: IngestRep
     treated_ids = [s for s in matrix.sample_ids if meta.record(s).role == ROLE_TREATED]
     if not treated_ids:
         raise ValidationError("metadata lists no treated samples")
+    control_ids = [meta.control_for(treated) for treated in treated_ids]
+    values = matrix.values
     replaced: dict[str, tuple[float, int]] = {}
-
-    def resolved(sample_id: str) -> np.ndarray:
-        col = matrix.values[:, matrix.sample_index(sample_id)]
+    # each used column once, in the order the ratios meet them: a treated
+    # sample's control, then the sample
+    for sample_id in dict.fromkeys(itertools.chain.from_iterable(zip(control_ids, treated_ids))):
+        col = values[:, matrix.sample_index(sample_id)]
         zeros = int(np.count_nonzero(col == 0.0))
         if zeros == 0:
-            return col
+            continue
         try:
-            stand_in = replacement_value(col)
+            replaced[sample_id] = (replacement_value(col), zeros)
         except ValidationError:
             raise ValidationError(f"column {sample_id!r} is entirely zero; ratios are undefined") from None
-        if sample_id not in replaced:
-            replaced[sample_id] = (stand_in, zeros)
-        return np.where(col > 0, col, stand_in)
 
-    columns = []
-    for treated in treated_ids:
-        control = meta.control_for(treated)
-        x = resolved(control)
-        y = resolved(treated)
-        columns.append(np.log2(y / x))
+    def resolved(sample_ids) -> np.ndarray:
+        """The columns of ``sample_ids`` with each zero replaced by its column's stand-in."""
+        block = np.take(values, [matrix.sample_index(s) for s in sample_ids], axis=1)
+        if replaced:
+            fill = np.array([replaced[s][0] if s in replaced else 0.0 for s in sample_ids])
+            np.copyto(block, fill, where=block == 0.0)
+        return block
+
+    ratios = resolved(treated_ids)
+    ratios /= resolved(control_ids)
+    np.log2(ratios, out=ratios)
     if report is not None:
         for sample_id in sorted(replaced):
             stand_in, count = replaced[sample_id]
             report.zero_replacements.append((sample_id, stand_in, count))
-    ratios = np.column_stack(columns)
     return RatioMatrix(matrix.feature_ids, tuple(treated_ids), ratios)
 
 

@@ -59,7 +59,7 @@ def test_builds_once_into_the_user_cache(fresh_loader, monkeypatch, tmp_path):
 @needs_compiler
 def test_source_compiles_without_warnings(tmp_path):
     command = [
-        _ckernel.find_compiler(), *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+        _ckernel.find_compiler(), *_ckernel.FLAGS, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror",
         "-o", str(tmp_path / "anneal.so"), str(_ckernel.SOURCE), "-lm",
     ]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=120)

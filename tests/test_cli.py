@@ -106,6 +106,24 @@ class TestRunCommand:
             expected_leaves = 8 if mode == "ratios" else 10
             assert len(dend["leaves"]) == expected_leaves
 
+    def test_interrupted_json_write_keeps_the_earlier_file(self, dataset, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(run_args(dataset, out, "--n", "8", "--alpha", "0.2", "--seed", "5")) == 0
+        before = {path: path.read_bytes() for path in out.rglob("*.json")}
+
+        class Killed(Exception):
+            pass
+
+        def dump_half(payload, fh, **kwargs):
+            fh.write(json.dumps(payload, **kwargs)[:20])
+            raise Killed
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        with pytest.raises(Killed):
+            main(run_args(dataset, out, "--n", "8", "--alpha", "0.2", "--seed", "6"))
+        assert {path: path.read_bytes() for path in out.rglob("*.json")} == before
+        assert sorted(out.rglob("*.tmp")) == []
+
     def test_determinism_byte_identical(self, dataset, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["--n", "8", "--alpha", "0.0", "--alpha", "0.2", "--seed", "17"]

@@ -239,6 +239,23 @@ class TestCompiledParser:
         assert got.tobytes() == array.array("d", map(float, tokens)).tobytes()
 
     @pytest.mark.parametrize("token", [
+        "9007199254740992", "9007199254740993", "9007199254740994",  # around 2**53
+        "1234567890123456789", "12345678901234567891",  # 19 and 20 significant digits
+        "9.999999999999999999e-100", "9.9999999999999999999e-100",
+        "0.0000000000000000000001234", "000123.5",  # leading zeros do not count
+        "1.00000000000000000000000", "100000000000000000000000",  # zeros after the 19th digit
+        "1e-342", "1e-343", "1e308", "1e309",  # the table's ends
+        "2.2250738585072011e-308",  # just under the smallest normal number
+        "1e0000000000000000000000001", "1e-9999999999999999999999999",  # 25-digit exponents
+        "1e18446744073709551617", "1e-18446744073709551617",  # 2**64 + 1 would wrap to 1
+        pytest.param("0." + "0" * 99999 + "1e1000005", id="an exponent past the cap"),
+    ])
+    def test_converter_edge_cases_have_the_bits_of_float(self, token):
+        got = parse_one_row(compiled_library(), [token, "-" + token])
+        assert got is not None
+        assert got.tobytes() == array.array("d", [float(token), float("-" + token)]).tobytes()
+
+    @pytest.mark.parametrize("token", [
         "", " 1", "1 ", "1_0", "\u0661", "nan", "inf", "0x1p3", "1e", "1e+", ".", "+", "e5", "1.5.2", "1,5",
     ])
     def test_rejects_numbers_outside_the_strict_form(self, token):
@@ -488,6 +505,45 @@ class TestComputeRatios:
         )
         with pytest.raises(ValidationError, match="entirely zero"):
             compute_ratios(matrix, make_meta(1))
+
+    @pytest.mark.parametrize("zero_columns, named", [
+        (["cmpA_1", "control_1"], "control_1"),  # a control before its treated sample
+        (["cmpB_1", "cmpA_2"], "cmpA_2"),  # treated samples in matrix order
+        (["control_2", "cmpA_1"], "cmpA_1"),  # cmpA_1 comes first, with control_1
+    ])
+    def test_all_zero_error_names_the_first_column_met(self, zero_columns, named):
+        ids = ["control_1", "control_2", "cmpA_1", "cmpA_2", "cmpB_1", "cmpB_2"]
+        values = np.ones((3, len(ids)))
+        values[:, [ids.index(s) for s in zero_columns]] = 0.0
+        with pytest.raises(ValidationError, match=f"column '{named}' is entirely zero"):
+            compute_ratios(make_matrix(values, sample_ids=ids), make_meta(2))
+
+    def test_matches_the_per_column_reference(self):
+        rng = np.random.default_rng(5)
+        ids = ["cmpA_1", "control_1", "cmpB_2", "control_2", "cmpA_2", "cmpB_1", "cmpC_1", "cmpC_2"]
+        values = rng.lognormal(0, 2, size=(50, len(ids)))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        values[:, ids.index("cmpC_2")] = rng.lognormal(0, 2, size=50)  # a column without zeros
+        matrix = make_matrix(values, sample_ids=ids)
+        meta = make_meta(3)
+        report = IngestReport()
+        rm = compute_ratios(matrix, meta, report)
+
+        def column(sample_id):
+            return values[:, ids.index(sample_id)]
+
+        def resolved(sample_id):
+            col = column(sample_id)
+            return np.where(col > 0, col, col[col > 0].min())
+
+        treated = [s for s in ids if s.startswith("cmp")]
+        want = np.column_stack([np.log2(resolved(t) / resolved(meta.control_for(t))) for t in treated])
+        assert rm.treated_ids == tuple(treated)
+        assert rm.ratios.tobytes() == want.tobytes()
+        assert report.zero_replacements == [
+            (s, column(s)[column(s) > 0].min(), int(np.count_nonzero(column(s) == 0)))
+            for s in sorted(ids) if s != "cmpC_2"
+        ]
 
 
 class TestRoundTrip:
