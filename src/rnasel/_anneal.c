@@ -1,6 +1,9 @@
 /* The compiled part of rnasel: one annealing chain of Metropolis swap moves
- * (the C twin of rnasel._kernels.anneal_chain), and the row parser that
- * rnasel.ingest.load_matrix uses for well-formed matrix files.
+ * (the C twin of rnasel._kernels.anneal_chain), the row parser that
+ * rnasel.ingest.load_matrix uses for well-formed matrix files, and the row
+ * writer that rnasel.ingest.write_table uses for its "%.17g" numbers. The
+ * parser and the writer share the table of powers of five that
+ * rnasel._ckernel.powers_of_five builds, and the 64 x 64 -> 128-bit multiply.
  *
  * Every floating-point operation of the chain is written in the order of the
  * Python reference, and the library is built with -ffp-contract=off and
@@ -10,6 +13,7 @@
  * into the complement, then one uniform only when the move does not improve.
  */
 #include <math.h>
+#include <stdio.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -236,6 +240,18 @@ static int leading_zeros(uint64_t x)
 #define POW5_MIN_Q (-342)
 #define POW5_MAX_Q 308
 
+/* floor(v / 2^bits), also for a negative v, where >> is not portable. */
+static int64_t floor_shift(int64_t v, int bits)
+{
+    return v >= 0 ? v >> bits : -((-v + ((int64_t)1 << bits) - 1) >> bits);
+}
+
+/* floor(q * log2(10)) for q in [POW5_MIN_Q, POW5_MAX_Q] */
+static int64_t floor_log2_pow10(int64_t q)
+{
+    return floor_shift(217706 * q, 16);
+}
+
 /* The double nearest to d (ties to even), by the Eisel-Lemire algorithm
  * (Lemire, "Number Parsing at a Gigabyte per Second", 2021). Returns 0 and
  * leaves *value alone where it does not apply: more than 19 significant
@@ -245,7 +261,7 @@ static int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
 {
     const uint64_t *p5;
     uint64_t w = d->w, high, low, high2, low2, mantissa, bits;
-    int64_t power2, scaled;
+    int64_t power2;
     int lz, upper, shift;
     if (w == 0) {
         *value = d->negative ? -0.0 : 0.0;
@@ -269,8 +285,7 @@ static int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
     upper = (int)(high >> 63);
     shift = upper + 9;
     mantissa = high >> shift;
-    scaled = 217706 * d->q; /* floor(q * log2(10)) = floor(scaled / 2^16) */
-    power2 = (scaled >= 0 ? scaled >> 16 : -((-scaled + 0xFFFF) >> 16)) + 63 + upper - lz + 1023;
+    power2 = floor_log2_pow10(d->q) + 63 + upper - lz + 1023;
     if (power2 <= 0)
         return 0;
     /* An exact halfway point rounds to even, not up. Only for q in [-4, 23]
@@ -337,4 +352,156 @@ int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width
         p += *p == '\r' ? 2 : 1;
     }
     return rows;
+}
+
+/* Bytes of "<delim>" and the longest "%.17g" of a double, "-d.<16 digits>e-ddd". */
+#define FORMAT_BYTES 25
+
+/* x * 10^q for x = m * 2^e (m < 2^53, q in the table) as a 128-bit fixed-point
+ * number: returns the integer part and stores the fraction, whose top
+ * fraction_bits bits are in *fraction and the next 64 in *low. The product is
+ * within 2 units of *low's last place of x * 10^q: the table entry is within 1
+ * of 5^q * 2^(127 - floor(q log2 5)), and the dropped low word adds under 1. */
+static uint64_t scale_by_pow10(uint64_t m, int64_t e, int64_t q, const uint64_t *pow5,
+                               uint64_t *fraction, uint64_t *low, int *fraction_bits)
+{
+    const uint64_t *p5 = pow5 + 2 * (q - POW5_MIN_Q);
+    uint64_t w = m << 11, high, low2, high2;
+    int s = (int)(10 - e - floor_log2_pow10(q));
+    high = multiply(w, p5[0], low);
+    high2 = multiply(w, p5[1], &low2);
+    *low += high2;
+    high += *low < high2;
+    *fraction = high & (((uint64_t)1 << s) - 1);
+    *fraction_bits = s;
+    return high >> s;
+}
+
+/* "00" to "99" */
+static const char digit_pairs[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The 8 decimal digits of v < 10^8, with leading zeros, to out. */
+static void write_8_digits(uint32_t v, char *out)
+{
+    uint32_t high = v / 10000, low = v % 10000;
+    memcpy(out, digit_pairs + 2 * (high / 100), 2);
+    memcpy(out + 2, digit_pairs + 2 * (high % 100), 2);
+    memcpy(out + 4, digit_pairs + 2 * (low / 100), 2);
+    memcpy(out + 6, digit_pairs + 2 * (low % 100), 2);
+}
+
+/* Write x as Python's "%.17g" % x writes it, to out (at least FORMAT_BYTES
+ * bytes); returns the bytes written. The 17 digits are round(|x| * 10^(16 - k))
+ * with k = floor(log10 |x|), from one product with the table in place of the
+ * big-number arithmetic of Steele & White ("How to Print Floating-Point
+ * Numbers Accurately", 1990), as in Adams ("Ryu revisited: printf floating
+ * point conversion", 2019). snprintf writes what the product cannot decide: a
+ * fraction within 2 units of one half (every exact tie among them), a
+ * subnormal, and |x| < 1e-292, where 16 - k is past the table. Python writes
+ * every NaN as "nan". */
+static int format_g17(double x, const uint64_t *pow5, char *out)
+{
+    static const uint64_t ten16 = 10000000000000000u, ten17 = 100000000000000000u;
+    uint64_t bits, m, digits, fraction, low, half;
+    int64_t e, k, q;
+    int n = 0, fraction_bits, last, i;
+    char d[17], fallback[32];
+    memcpy(&bits, &x, sizeof bits);
+    if (x != x) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        out[n++] = '-';
+    e = (int64_t)(bits >> 52 & 0x7FF);
+    if (e == 0x7FF) {
+        memcpy(out + n, "inf", 3);
+        return n + 3;
+    }
+    if (x == 0) {
+        out[n] = '0';
+        return n + 1;
+    }
+    if (e == 0)
+        goto slow;
+    m = (bits & (((uint64_t)1 << 52) - 1)) | (uint64_t)1 << 52;
+    e -= 1075;
+    /* floor(log10(2^(e + 52))): k itself, or one too low */
+    k = floor_shift((e + 52) * 78913, 18);
+    q = 16 - k;
+    if (q > POW5_MAX_Q)
+        goto slow;
+    digits = scale_by_pow10(m, e, q, pow5, &fraction, &low, &fraction_bits);
+    if (digits >= ten17) {
+        k++;
+        q--;
+        digits = scale_by_pow10(m, e, q, pow5, &fraction, &low, &fraction_bits);
+    }
+    half = (uint64_t)1 << (fraction_bits - 1);
+    if ((fraction == half && low <= 2) || (fraction == half - 1 && low >= UINT64_MAX - 1))
+        goto slow;
+    digits += fraction >= half;
+    if (digits == ten17) { /* rounding carried into an 18th digit */
+        digits = ten16;
+        k++;
+    }
+    d[0] = (char)('0' + digits / ten16);
+    digits %= ten16;
+    write_8_digits((uint32_t)(digits / 100000000u), d + 1);
+    write_8_digits((uint32_t)(digits % 100000000u), d + 9);
+    for (last = 16; d[last] == '0'; last--)
+        ;
+    if (k < -4 || k >= 17) { /* d.ddde+XX */
+        out[n++] = d[0];
+        if (last > 0) {
+            out[n++] = '.';
+            memcpy(out + n, d + 1, (size_t)last);
+            n += last;
+        }
+        out[n++] = 'e';
+        out[n++] = k < 0 ? '-' : '+';
+        if (k < 0)
+            k = -k;
+        if (k >= 100)
+            out[n++] = (char)('0' + k / 100);
+        out[n++] = (char)('0' + k / 10 % 10);
+        out[n++] = (char)('0' + k % 10);
+    } else if (k < 0) { /* 0.000ddd */
+        memcpy(out + n, "0.000", (size_t)(1 - k));
+        n += (int)(1 - k);
+        memcpy(out + n, d, (size_t)last + 1);
+        n += last + 1;
+    } else { /* ddd.ddd */
+        memcpy(out + n, d, (size_t)k + 1);
+        n += (int)k + 1;
+        if (last > k) {
+            out[n++] = '.';
+            memcpy(out + n, d + k + 1, (size_t)(last - k));
+            n += (int)(last - k);
+        }
+    }
+    return n;
+slow:
+    i = snprintf(fallback, sizeof fallback, "%.17g", x);
+    memcpy(out, fallback, (size_t)i);
+    return i;
+}
+
+/* Write the width numbers at values, each as "<delim>" and then the bytes of
+ * Python's "%.17g" % x, and then "\n", to out (at least FORMAT_BYTES * width
+ * + 1 bytes), using the table pow5; returns the bytes written. */
+int64_t rnasel_format_row(const double *values, int64_t width, int delim, const uint64_t *pow5, char *out)
+{
+    char *p = out;
+    for (int64_t k = 0; k < width; k++) {
+        *p++ = (char)delim;
+        p += format_g17(values[k], pow5, p);
+    }
+    *p++ = '\n';
+    return p - out;
 }

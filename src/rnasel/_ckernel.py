@@ -1,6 +1,6 @@
 """The compiled library (``_anneal.c``): build, cache, load and bind.
 
-It holds two things. ``anneal_chain`` runs every temperature step of one
+It holds three things. ``anneal_chain`` runs every temperature step of one
 chain of swap moves in one call, exactly as the Python reference
 ``_kernels.anneal_chain`` does, and gives the same bits: the same
 floating-point operations in the same order, libm's ``exp`` and ``sqrt``,
@@ -12,20 +12,25 @@ algorithm (Lemire, "Number Parsing at a Gigabyte per Second", 2021) with the
 table ``powers_of_five``, and with the C library's ``strtod`` for the few
 numbers it leaves (more than 19 significant digits, a subnormal or infinite
 result, an exponent outside the table, or a rounding it cannot decide).
-``ingest.load_matrix`` reads every other file in Python. ctypes releases the
-GIL for both calls.
+``ingest.load_matrix`` reads every other file in Python. ``format_rows``
+writes the rows of a table for ``ingest.write_table``, each number as the
+bytes of Python's ``"%.17g" % x``: its 17 digits are ``round(|x| * 10**(16 -
+k))``, with ``k = floor(log10(|x|))``, from one product with the same table,
+and ``snprintf`` writes subnormal numbers, those under 1e-292, and those
+whose product lies within 2 units of its last place of a rounding tie.
+ctypes releases the GIL for every call.
 
 On first use the source is compiled with the system C compiler and the
 library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
 ``~/.cache/rnasel``, else a private per-user temporary directory), keyed by
 a hash of the source, the flags and the machine type. If no compiler is
 found, the build fails, the library will not load, its bounded draw
-disagrees with ``Generator.integers``, or its parser converts one of
-``PROBE_NUMBERS`` to other bits than ``float()`` (a broken converter branch
-or table entry, a libc that misrounds, or a locale whose decimal point is not
-'.'), ``load`` warns once and returns None, and
-rnasel anneals and parses in Python instead: slower, never a different
-answer.
+disagrees with ``Generator.integers``, its parser converts one of
+``PROBE_NUMBERS`` to other bits than ``float()``, or its writer writes one of
+``PROBE_FLOATS`` unlike ``"%.17g" %`` (a broken branch or table entry, a libc
+that misrounds, or a locale whose decimal point is not '.'), ``load`` warns
+once and returns None, and rnasel anneals, parses and writes tables in
+Python instead: slower, never a different answer.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import array
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -54,7 +60,7 @@ MAX_BOUND = 2**32
 
 
 class KernelFallbackWarning(RuntimeWarning):
-    """The C library is unavailable; annealing and matrix parsing run in Python."""
+    """The C library is unavailable; annealing, matrix parsing and table writing run in Python."""
 
 
 class _Unavailable(Exception):
@@ -151,9 +157,24 @@ PROBE_NUMBERS = (
 )
 
 
+# Doubles for each branch of the C formatter: zeros, the fixed and exponent
+# layouts either side of 1e-4, 1e16 and 1e17, k found one too low from the
+# binary exponent (0.1, 1e-4, 1e17, 1.2e17), a rounding that carries into an
+# 18th digit (1e-14 and 1e153 are just under their powers of ten), a rounding
+# that only the table's low word decides (1.085274943667478e97), exact ties to
+# even, 3-digit exponents, subnormals and |x| < 1e-292 (snprintf), infinities
+# and a NaN with its sign bit set.
+PROBE_FLOATS = (
+    0.0, -0.0, 0.1, -1.5, 123.0, 0.0001, 9.9999999999999991e-05, 1e-05, 1e16, 99999999999999999.0,
+    1.2e17, 1e-14, 1e153, 1.085274943667478e97, 2**-25, 3 * 2**-25, 1.7976931348623157e308, 5e-324,
+    2.2250738585072009e-308, 1e-300, 1e-292, math.inf, -math.inf, -math.nan,
+)
+
+
 def _probe(lib) -> None:
     """Check the C bounded draw against Generator.integers on a short stream,
-    and the C parser against float() on ``PROBE_NUMBERS``, bit for bit."""
+    the C parser against float() on ``PROBE_NUMBERS``, bit for bit, and the C
+    formatter against ``"%.17g" %`` on ``PROBE_FLOATS``, byte for byte."""
     bounds = (1, 2, 3, 7, 10, 1000, 2**31 + 1, 2**32 - 1, 2**32) * 8
     mine, ref = np.random.default_rng(20210105), np.random.default_rng(20210105)
     bitgen = mine.bit_generator.ctypes.bit_generator
@@ -175,6 +196,13 @@ def _probe(lib) -> None:
     for k, text in enumerate(PROBE_NUMBERS):
         if got[k:k + 1].tobytes() != want[k:k + 1].tobytes():
             raise _Unavailable(f"C parser read {text!r} as {got[k]!r}, float() as {want[k]!r}")
+    got = bytes(next(format_rows(lib, np.array([PROBE_FLOATS]), "\t"))).decode("ascii", "replace")
+    want = "".join("\t" + "%.17g" % x for x in PROBE_FLOATS) + "\n"
+    for x, mine, ref in zip(PROBE_FLOATS, got.split("\t")[1:], want.split("\t")[1:]):
+        if mine != ref:
+            raise _Unavailable(f"C formatter wrote {x!r} as {mine.strip()!r}, not {ref.strip()!r}")
+    if got != want:
+        raise _Unavailable(f"C formatter wrote {got!r}, not {want!r}")
 
 
 @functools.cache
@@ -193,10 +221,15 @@ def _load_once():
             ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         )
         lib.rnasel_parse_rows.restype = ctypes.c_int64
+        lib.rnasel_format_row.argtypes = (
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+        )
+        lib.rnasel_format_row.restype = ctypes.c_int64
         _probe(lib)
     except (_Unavailable, OSError, AttributeError, subprocess.TimeoutExpired) as exc:
         warnings.warn(
-            f"C library unavailable ({exc}); annealing and matrix parsing run the slower Python code",
+            f"C library unavailable ({exc}); annealing, matrix parsing and table writing run the slower"
+            " Python code",
             KernelFallbackWarning,
         )
         return None
@@ -313,3 +346,32 @@ def parse_rows(
         return None
     spans += start
     return spans
+
+
+# Bytes rnasel_format_row writes at most per number (FORMAT_BYTES in
+# _anneal.c): the delimiter and the longest "%.17g" of a double,
+# "-d.<16 digits>e-ddd".
+FORMAT_BYTES = 25
+
+
+def format_rows(lib, values: np.ndarray, delim: str):
+    """Yield each row of the 2-D ``values`` written in C: each number as
+    ``delim`` and then the bytes of ``"%.17g" % x``, and then ``"\\n"``.
+
+    One call per row, into one buffer that every row reuses: a yielded
+    memoryview is valid until the next row is asked for. Each number is
+    written from one product with ``powers_of_five()``, or, in the cases the
+    module docstring lists, by ``snprintf``. ``delim`` must be one ASCII
+    character; ``values`` is copied first only if it is not C-contiguous
+    ``float64``.
+    """
+    if len(delim) != 1 or not delim.isascii():
+        raise ValueError(f"delimiter must be one ASCII character, got {delim!r}")
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    rows, width = values.shape
+    out = bytearray(FORMAT_BYTES * width + 1)
+    view = memoryview(out)
+    address, out_address = values.ctypes.data, ctypes.addressof(ctypes.c_char.from_buffer(out))
+    pow5 = powers_of_five().ctypes.data
+    for r in range(rows):
+        yield view[:lib.rnasel_format_row(address + 8 * width * r, width, ord(delim), pow5, out_address)]

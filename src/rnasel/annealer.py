@@ -31,6 +31,7 @@ import numpy as np
 
 from . import _ckernel, _kernels
 from .errors import ParameterError
+from .ingest import replacing
 from .model import Selection
 from .objective import ObjectiveContext, ObjectiveParams, SubsetState, eval_u
 
@@ -97,7 +98,7 @@ class AnnealTrace:
     def to_csv(self, path) -> None:
         columns = (self.current_u, self.best_u, self.accepted_count)
         rows = zip(_row_heads(self.temperature.tobytes()), *(c.tolist() for c in columns))
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             fh.write("step,temperature,current_u,best_u,accepted_count\n")
             # a thousand rows per write: the text of a whole trace at once
             # would add more to peak memory than the cached row heads do

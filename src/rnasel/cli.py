@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -252,17 +251,14 @@ def _sample_labels(meta: SampleMeta, sample_ids) -> list[str]:
 
 
 def _write_json(path: Path, payload) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, then rename it, so
-    a run killed while writing leaves the earlier file or none, never part of one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with ingest.replacing(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with ingest.replacing(path) as fh:
+        fh.write(text)
 
 
 def _cluster_outputs(cell_dir: Path, labels, profiles, config: RunConfig, title: str) -> dict:
@@ -272,18 +268,18 @@ def _cluster_outputs(cell_dir: Path, labels, profiles, config: RunConfig, title:
     entry: dict = {"dissimilarity": "dissimilarity.tsv", "dendrogram": {}}
     want = (config.format,) if config.format != "all" else ("newick", "json", "svg")
     if "newick" in want:
-        (cell_dir / "dendrogram.nwk").write_text(clustering.to_newick(dend) + "\n", encoding="utf-8")
+        _write_text(cell_dir / "dendrogram.nwk", clustering.to_newick(dend) + "\n")
         entry["dendrogram"]["newick"] = "dendrogram.nwk"
     if "json" in want:
         _write_json(cell_dir / "dendrogram.json", clustering.to_merge_dict(dend))
         entry["dendrogram"]["json"] = "dendrogram.json"
     if "svg" in want:
-        (cell_dir / "dendrogram.svg").write_text(render.dendrogram_svg(dend, title), encoding="utf-8")
+        _write_text(cell_dir / "dendrogram.svg", render.dendrogram_svg(dend, title))
         entry["dendrogram"]["svg"] = "dendrogram.svg"
     if config.cut_k is not None:
         k = min(config.cut_k, dend.n_leaves)
         text = report_groups(dend, k)
-        (cell_dir / f"groups_k{k}.txt").write_text(text, encoding="utf-8")
+        _write_text(cell_dir / f"groups_k{k}.txt", text)
         entry["groups"] = clustering.cut(dend, k)
         entry["groups_file"] = f"groups_k{k}.txt"
     return entry
@@ -366,7 +362,7 @@ def _run_cell(
             f"{compound}_{rec2.replicate} level",
             f"{compound}: selected features, n={n}, alpha={_alpha_token(alpha)}",
         )
-        (cell_dir / "scatter.svg").write_text(svg, encoding="utf-8")
+        _write_text(cell_dir / "scatter.svg", svg)
         entry["scatter"] = "scatter.svg"
 
     key = f"n={n},alpha={_alpha_token(alpha)}"

@@ -19,6 +19,7 @@ replacement happens per occurrence at ratio time.
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
 import itertools
 import os
@@ -359,15 +360,40 @@ def compute_ratios(matrix: ExpressionMatrix, meta: SampleMeta, report: IngestRep
     return RatioMatrix(matrix.feature_ids, tuple(treated_ids), ratios)
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing (``mode`` "w" for
+    UTF-8 text, "wb" for bytes) and rename it to ``path`` when the block ends;
+    on an exception, remove it instead. A run killed while writing leaves the
+    earlier file or none, never part of one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_table(path, corner: str, column_ids, row_ids, values: np.ndarray, delim: str = "\t") -> None:
     """Write a labelled table of floats: a header of ``corner`` and the column
     ids, then each row id and its values as ``%.17g``, which reads back to the
-    same double."""
-    row_format = "%s" + delim + delim.join(["%.17g"] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corner + delim + delim.join(column_ids) + "\n")
-        for row_id, row in zip(row_ids, values):
-            fh.write(row_format % (row_id, *row.tolist()))
+    same double. The C library writes the numbers when it is loaded and
+    ``delim`` is one ASCII character (``_ckernel.format_rows``), else Python's
+    ``%`` operator does; both give the same bytes."""
+    lib = _ckernel.load() if len(delim) == 1 and delim.isascii() else None
+    with replacing(path, "wb") as fh:
+        fh.write((corner + delim + delim.join(column_ids) + "\n").encode("utf-8"))
+        if lib is None:
+            row_format = "%s" + delim + delim.join(["%.17g"] * values.shape[1]) + "\n"
+            for row_id, row in zip(row_ids, values):
+                fh.write((row_format % (row_id, *row.tolist())).encode("utf-8"))
+        else:
+            for row_id, text in zip(row_ids, _ckernel.format_rows(lib, values, delim)):
+                fh.write(row_id.encode("utf-8"))
+                fh.write(text)
 
 
 def write_matrix(matrix: ExpressionMatrix, path, fmt: str | None = None) -> None:
@@ -376,7 +402,7 @@ def write_matrix(matrix: ExpressionMatrix, path, fmt: str | None = None) -> None
 
 def write_meta(meta: SampleMeta, path, fmt: str | None = None) -> None:
     delim = _delimiter(path, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(delim.join(_META_COLUMNS) + "\n")
         for rec in meta.samples:
             fh.write(
@@ -389,7 +415,7 @@ def write_meta(meta: SampleMeta, path, fmt: str | None = None) -> None:
 
 def write_weights(weights: PairWeights, path, fmt: str | None = None) -> None:
     delim = _delimiter(path, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(delim.join(_WEIGHT_COLUMNS) + "\n")
         for (a, b) in sorted(weights.weights):
             fh.write(delim.join((a, b, str(weights.weights[(a, b)]))) + "\n")

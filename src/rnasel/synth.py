@@ -114,21 +114,23 @@ def generate(spec: SynthSpec) -> tuple[ExpressionMatrix, SampleMeta, GroundTruth
             wiggle = rng.normal(0.0, spec.compound_effect_sd, size=spec.n_informative)
             effects[compound] = pattern * spec.effect_size + wiggle
 
-    columns = []
+    # each column is written into the matrix as it is drawn: a list of columns
+    # stacked at the end would need twice the memory, and leave a hole in the
+    # heap as large as the matrix
+    values = np.empty((f, spec.replicates * (1 + len(spec.compounds))))
     records = []
     for r in range(1, spec.replicates + 1):
         deviation = rng.normal(0.0, spec.control_noise_sd, size=f)
-        columns.append(base * np.exp2(deviation))
+        values[:, len(records)] = base * np.exp2(deviation)
         records.append(SampleRecord(f"control_{r}", ROLE_CONTROL, "", r, ""))
     for compound in spec.compounds:
         full_effect = np.zeros(f)
         full_effect[informative] = effects[compound]
         for r in range(1, spec.replicates + 1):
             noise = rng.normal(0.0, spec.noise_sd, size=f)
-            columns.append(base * np.exp2(full_effect) * np.exp2(noise))
+            values[:, len(records)] = base * np.exp2(full_effect) * np.exp2(noise)
             records.append(SampleRecord(f"{compound}_{r}", ROLE_TREATED, compound, r, f"control_{r}"))
 
-    values = np.column_stack(columns)
     zero_mask = rng.random(values.shape) < spec.zero_fraction
     values[zero_mask] = 0.0
     if np.any((values > 0).sum(axis=0) == 0):
@@ -162,7 +164,7 @@ def write_dataset(out_dir, matrix: ExpressionMatrix, meta: SampleMeta, truth: Gr
     ingest.write_meta(meta, paths["meta"])
     treated = meta.treated_ids()
     ingest.write_weights(PairWeights.from_entries(treated, default=default_weight), paths["weights"])
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
+    with ingest.replacing(paths["truth"]) as fh:
         json.dump(truth.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rnasel import _ckernel, _kernels
+from rnasel import _ckernel, _kernels, annealer
 from rnasel.annealer import AnnealSchedule, AnnealTrace, chain_rng, run, _run_chain
 from rnasel.errors import ParameterError
 from rnasel.model import Selection
@@ -358,6 +358,30 @@ class TestRun:
             "0,1.0,0.1,1e-320,0\n"
             "1,0.30000000000000004,1e-320,0.3333333333333333,7\n"
         )
+
+    def test_trace_csv_interrupted_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        traces = [
+            AnnealTrace(
+                temperature=rng.random(2500), current_u=rng.random(2500), best_u=rng.random(2500),
+                accepted_count=rng.integers(0, 50, 2500), selection=Selection((0,), 0.5, 0.5, 0.5), seed=3, chain=0,
+            )
+            for _ in range(2)
+        ]
+        path = tmp_path / "trace.csv"
+        traces[0].to_csv(path)
+        before = path.read_bytes()
+        row_heads = annealer._row_heads
+
+        def heads_then_kill(temperature):
+            yield from row_heads(temperature)[:1500]  # past the first thousand-row write
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(annealer, "_row_heads", heads_then_kill)
+        with pytest.raises(KeyboardInterrupt):
+            traces[1].to_csv(path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_trace_csv_long_traces_that_share_a_schedule(self, tmp_path):
         # the row heads are formatted once per temperature column and rows

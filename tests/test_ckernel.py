@@ -126,3 +126,26 @@ def test_parser_that_misrounds_is_not_used(fresh_loader, monkeypatch):
     monkeypatch.setattr(_ckernel, "parse_rows", misround)
     with pytest.warns(_ckernel.KernelFallbackWarning, match=r"C parser read '1e23' as 1\.0000000000000001e\+23"):
         assert _ckernel.load() is None
+
+
+@needs_compiler
+def test_formatter_that_misformats_is_not_used(fresh_loader, monkeypatch):
+    format_rows = _ckernel.format_rows
+
+    def one_digit_exponents(lib, values, delim):
+        for row in format_rows(lib, values, delim):
+            yield bytes(row).replace(b"e-05", b"e-5")
+
+    monkeypatch.setattr(_ckernel, "format_rows", one_digit_exponents)
+    with pytest.warns(
+        _ckernel.KernelFallbackWarning,
+        match=r"C formatter wrote 9\.999999999999999e-05 as '9\.9999999999999991e-5', not '9\.9999999999999991e-05'",
+    ):
+        assert _ckernel.load() is None
+
+
+@needs_compiler
+def test_probe_floats_cover_the_formatter_layouts():
+    written = ["%.17g" % x for x in _ckernel.PROBE_FLOATS]
+    assert {"0", "-0", "inf", "-inf", "nan", "0.0001", "9.9999999999999991e-05", "1e+17"} <= set(written)
+    assert any(len(text.partition("e")[2]) == 4 for text in written)  # e+308, e-324

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnasel import _ckernel, ingest
+from rnasel import _ckernel, clustering, ingest
 from rnasel.errors import ValidationError
 from rnasel.ingest import (
     IngestReport,
@@ -275,6 +275,93 @@ class TestCompiledParser:
         assert _ckernel.parse_rows(lib, block, 0, 6, "\t", 2, 1, array.array("d"), 0) is None
         with pytest.raises(ValueError, match="outside"):
             _ckernel.parse_rows(lib, block, 0, len(block) + 1, "\t", 2, 4, array.array("d"), 100)
+
+
+FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: np.array(bits, np.uint64).view(np.float64).item()),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-1e-290, max_value=1e-290),
+)
+
+
+def python_row(values, delim="\t") -> bytes:
+    return ("".join(delim + "%.17g" % x for x in values) + "\n").encode()
+
+
+class TestCompiledFormatter:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(FLOAT64, min_size=1, max_size=12))
+    def test_rows_have_the_bytes_of_percent_g(self, values):
+        row = np.array([values])
+        assert bytes(next(_ckernel.format_rows(compiled_library(), row, "\t"))) == python_row(row[0].tolist())
+
+    def test_yields_each_row_in_turn(self):
+        values = np.array([[1.0, -0.0], [5e-324, np.nan], [1e300, 2**-25]])
+        rows = _ckernel.format_rows(compiled_library(), values, ",")
+        for want in values.tolist():
+            assert bytes(next(rows)) == python_row(want, ",")
+        assert next(rows, None) is None
+
+    @pytest.mark.parametrize("delim", ["", ";;", "\u00e9"])
+    def test_delimiter_must_be_one_ascii_character(self, delim):
+        with pytest.raises(ValueError, match="one ASCII character"):
+            next(_ckernel.format_rows(compiled_library(), np.ones((1, 2)), delim))
+
+
+def write_table_bytes(tmp_path, name, *args) -> bytes:
+    path = tmp_path / name
+    ingest.write_table(path, *args)
+    return path.read_bytes()
+
+
+def both_writers(tmp_path, monkeypatch, *args) -> tuple[bytes, bytes]:
+    """The bytes ``write_table(path, *args)`` writes with the C library and
+    without it."""
+    compiled_library()
+    fast = write_table_bytes(tmp_path, "fast", *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(_ckernel, "load", lambda: None)
+        slow = write_table_bytes(tmp_path, "slow", *args)
+    return fast, slow
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("delim", ["\t", ","])
+    @pytest.mark.parametrize("width", [1, 162])
+    @pytest.mark.parametrize("layout", ["contiguous", "read-only", "non-contiguous"])
+    def test_compiled_and_python_writers_agree(self, tmp_path, monkeypatch, delim, width, layout):
+        rng = np.random.default_rng(width)
+        values = rng.lognormal(0, 30, size=(7, 2 * width)) * rng.choice([-1.0, 1.0], size=(7, 2 * width))
+        values[:4, 0] = [0.0, -0.0, np.inf, np.nan]
+        values = values[:, ::2] if layout == "non-contiguous" else np.ascontiguousarray(values[:, ::2])
+        values.setflags(write=layout != "read-only")
+        columns = [f"c{k}" for k in range(width)]
+        rows = ["f0", "géne_α", "基因", "f3", "\U0001f600", "f5", "f6"]
+        fast, slow = both_writers(tmp_path, monkeypatch, "feature_id", columns, rows, values, delim)
+        assert fast == slow
+        assert fast.decode("utf-8").splitlines()[2].startswith("géne_α" + delim)
+
+    def test_dissimilarity_table_agrees(self, tmp_path, monkeypatch):
+        labels = ["ctrl", "cmpÄ_1", "cmpÄ_2", "化合物_1"]
+        dis = clustering.dissimilarity(labels, np.random.default_rng(2).normal(size=(4, 30)))
+        assert not dis.d.flags.writeable
+        fast, slow = both_writers(tmp_path, monkeypatch, "label", dis.labels, dis.labels, dis.d)
+        assert fast == slow
+
+    def test_interrupted_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        write_matrix(make_matrix([[1.0, 2.0], [3.0, 4.0]]), path)
+        before = path.read_bytes()
+
+        def row_ids():
+            yield "a"
+            yield "b"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            ingest.write_table(path, "feature_id", ["s0", "s1"], row_ids(), np.ones((3, 2)))
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 def load_outcome(path):
