@@ -312,12 +312,17 @@ static int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
  * values[r * width, (r + 1) * width) and its id to buf[id_span[2r],
  * id_span[2r + 1]). Each number is converted by eisel_lemire with the table
  * pow5, else by strtod. Reads nothing outside buf[0, len) and parses at most
- * max_rows rows; returns how many it parsed. */
+ * max_rows rows; returns how many it parsed, and stores in *consumed the bytes
+ * those rows take, so that a block parses whole exactly when *consumed is len.
+ * A row takes at least 2 * width + 1 bytes (an empty id and one digit per
+ * field), so len / (2 * width + 1) rows is room for any block. */
 int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width, int64_t max_field,
-                          int64_t max_rows, const uint64_t *pow5, double *values, int64_t *id_span)
+                          int64_t max_rows, const uint64_t *pow5, double *values, int64_t *id_span,
+                          int64_t *consumed)
 {
     const char *end = buf + len, *p = buf;
     int64_t rows = 0;
+    *consumed = 0;
     for (; rows < max_rows; rows++) {
         const char *row = p;
         double *out = values + rows * width;
@@ -350,6 +355,7 @@ int64_t rnasel_parse_rows(const char *buf, int64_t len, int delim, int64_t width
             }
         }
         p += *p == '\r' ? 2 : 1;
+        *consumed = p - buf;
     }
     return rows;
 }

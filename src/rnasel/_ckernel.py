@@ -35,7 +35,6 @@ Python instead: slower, never a different answer.
 
 from __future__ import annotations
 
-import array
 import ctypes
 import functools
 import hashlib
@@ -189,13 +188,13 @@ def _probe(lib) -> None:
         raise _Unavailable("C bounded draws left the generator in a different state")
     numbers = "\t".join(PROBE_NUMBERS).encode()
     row = bytearray(b"probe\t" + numbers + b"\n")
-    got = array.array("d")
-    if parse_rows(lib, row, 0, len(row), "\t", len(PROBE_NUMBERS), 1, got, len(row)) is None:
+    got = np.empty((1, len(PROBE_NUMBERS)))
+    if parse_rows(lib, row, 0, len(row), "\t", got, np.empty((1, 2), np.int64), len(row))[1] != len(row):
         raise _Unavailable(f"C parser rejected the row {bytes(row)!r}")
-    want = array.array("d", map(float, PROBE_NUMBERS))
-    for k, text in enumerate(PROBE_NUMBERS):
-        if got[k:k + 1].tobytes() != want[k:k + 1].tobytes():
-            raise _Unavailable(f"C parser read {text!r} as {got[k]!r}, float() as {want[k]!r}")
+    want = np.array([float(text) for text in PROBE_NUMBERS])
+    for text, mine, ref in zip(PROBE_NUMBERS, got[0], want):
+        if mine.tobytes() != ref.tobytes():
+            raise _Unavailable(f"C parser read {text!r} as {float(mine)!r}, float() as {float(ref)!r}")
     got = bytes(next(format_rows(lib, np.array([PROBE_FLOATS]), "\t"))).decode("ascii", "replace")
     want = "".join("\t" + "%.17g" % x for x in PROBE_FLOATS) + "\n"
     for x, mine, ref in zip(PROBE_FLOATS, got.split("\t")[1:], want.split("\t")[1:]):
@@ -218,7 +217,7 @@ def _load_once():
         lib.rnasel_anneal_chain.restype = None
         lib.rnasel_parse_rows.argtypes = (
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64),
         )
         lib.rnasel_parse_rows.restype = ctypes.c_int64
         lib.rnasel_format_row.argtypes = (
@@ -317,35 +316,41 @@ def powers_of_five() -> np.ndarray:
 
 
 def parse_rows(
-    lib, block: bytearray, start: int, stop: int, delim: str, width: int, rows: int,
-    values: array.array, max_field: int,
-):
-    """Parse the ``rows`` rows of ``block[start:stop]`` in C, appending their
-    numbers to ``values`` (an ``array("d")``).
+    lib, block: bytearray, start: int, stop: int, delim: str, values: np.ndarray, spans: np.ndarray,
+    max_field: int,
+) -> tuple[int, int]:
+    """Parse the rows of ``block[start:stop]`` in C, at most ``len(values)``:
+    row r's numbers go to ``values[r]``, a C-contiguous ``(rows, width)``
+    float64 array, and its id's ``[start, end)`` offsets into ``block`` to
+    ``spans[r]``, a C-contiguous ``(rows, 2)`` int64 array.
 
     Each row is an id, then ``width`` fields of ``delim`` and a number of the
     form ``[+-]?(digits[.digits*]|.digits)([eE][+-]?digits)?``, then ``\\n`` or
     ``\\r\\n``; the id holds no delimiter, quote, NUL or line break, and no field
     is longer than ``max_field`` bytes. Each number gets ``float()``'s bits,
     from the Eisel-Lemire converter with ``powers_of_five()`` or, in the cases
-    the module docstring lists, from ``strtod``. Returns each row's id as
-    ``[start, end)`` offsets into ``block``, a (rows, 2) array, or None if a
-    row is not of that form; ``values`` then holds ``rows * width`` numbers
-    more, not all parsed.
+    the module docstring lists, from ``strtod``. Parsing stops at ``stop``,
+    after ``len(values)`` rows, or at the first row not of that form.
+
+    Returns ``(rows, consumed)``: how many rows were parsed and how many bytes
+    from ``start`` they take, so ``block[start:stop]`` is all rows of that form
+    exactly when ``consumed == stop - start``. A row takes at least ``2 *
+    width + 1`` bytes (an empty id and a one-digit number per field), so
+    ``(stop - start) // (2 * width + 1)`` rows of ``values`` hold any block.
+    ``values[rows]`` may hold part of the row that stopped the parse.
     """
     if not 0 <= start <= stop <= len(block):
         raise ValueError(f"rows [{start}, {stop}) outside a block of {len(block)} bytes")
-    base = len(values)
-    values.frombytes(bytes(8 * rows * width))
-    spans = np.empty((rows, 2), dtype=np.int64)
-    got = lib.rnasel_parse_rows(
-        ctypes.addressof(ctypes.c_char.from_buffer(block)) + start, stop - start, ord(delim), width, max_field, rows,
-        powers_of_five().ctypes.data, values.buffer_info()[0] + 8 * base, spans.ctypes.data,
+    if values.ndim != 2 or spans.shape != (len(values), 2):
+        raise ValueError(f"values of shape {values.shape} and spans of shape {spans.shape} do not match")
+    consumed = ctypes.c_int64()
+    rows = lib.rnasel_parse_rows(
+        ctypes.addressof(ctypes.c_char.from_buffer(block)) + start, stop - start, ord(delim), values.shape[1],
+        max_field, len(values), powers_of_five().ctypes.data, _address(values, np.float64),
+        _address(spans, np.int64), ctypes.byref(consumed),
     )
-    if got != rows:
-        return None
-    spans += start
-    return spans
+    spans[:rows] += start
+    return rows, consumed.value
 
 
 # Bytes rnasel_format_row writes at most per number (FORMAT_BYTES in

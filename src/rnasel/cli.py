@@ -370,18 +370,23 @@ def _run_cell(
 
 
 def run_pipeline(config: RunConfig) -> int:
+    ingest_start = time.perf_counter()
     matrix, report = ingest.load_matrix(config.matrix)
     meta = ingest.load_meta(config.meta)
     entries = ingest.load_weights(config.weights) if config.weights else []
     ratio_matrix = ingest.compute_ratios(matrix, meta, report)
+    # checked in both modes, though only the sweep uses them
     weights = PairWeights.from_entries(ratio_matrix.treated_ids, entries, config.default_weight)
-    context = ObjectiveContext.from_matrices(matrix, ratio_matrix)
-    if not config.cluster_all_features and max(config.n) > context.n_features:
-        raise ParameterError(f"n = {max(config.n)} exceeds the {context.n_features} available features")
-    # the replicate pair of each cell's scatter plot (None: no plot)
-    scatter = None
-    if not config.cluster_all_features and config.format in ("svg", "all"):
-        scatter = _scatter_columns(matrix, meta, config.scatter_compound)
+    timings: dict = {"ingest": time.perf_counter() - ingest_start, "cells": {}}
+    # the sweep's objective context and the replicate pair of each cell's
+    # scatter plot (None: no plot); clustering on all features needs neither
+    context = scatter = None
+    if not config.cluster_all_features:
+        context = ObjectiveContext.from_matrices(matrix, ratio_matrix)
+        if max(config.n) > context.n_features:
+            raise ParameterError(f"n = {max(config.n)} exceeds the {context.n_features} available features")
+        if config.format in ("svg", "all"):
+            scatter = _scatter_columns(matrix, meta, config.scatter_compound)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     for message in report.warnings:
@@ -398,7 +403,6 @@ def run_pipeline(config: RunConfig) -> int:
         "seed": config.seed,
         "cells": {},
     }
-    timings: dict = {"cells": {}}
     total_start = time.perf_counter()
 
     if config.cluster_all_features:

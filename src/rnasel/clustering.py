@@ -81,6 +81,8 @@ def dissimilarity(labels, profiles) -> DissimilarityMatrix:
     xc = x - x.mean(axis=1, keepdims=True)
     ss = np.einsum("ij,ij->i", xc, xc)
     msq = np.einsum("ij,ij->i", x, x)
+    if not np.all(np.isfinite(msq)):  # every profile would look constant
+        raise ValidationError("profiles too large: a sum of squares overflows")
     degenerate = ss <= REL_VAR_EPS * msq
     if np.any(degenerate):
         bad = [labels[i] for i in np.nonzero(degenerate)[0]]

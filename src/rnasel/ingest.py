@@ -70,7 +70,7 @@ def _rows(path, fmt: str | None):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         for row in reader:
-            if any(cell.strip() for cell in row):
+            if "".join(row).strip():
                 yield reader.line_num, row
 
 
@@ -115,12 +115,15 @@ def _parse_compiled(path, delim: str):
     form it reads.
 
     The file is read in blocks of ``_BLOCK`` bytes (less for a smaller file,
-    more for a longer row), each cut after its last newline. It must be a
-    regular file, in UTF-8, with a ``feature_id`` header of at least two
-    sample ids and no quote, NUL or carriage return other than one ending a
-    line; every later line a row as ``_ckernel.parse_rows`` reads it, ending
-    in a newline; and every value finite and not negative. Anything else is
-    left to the Python parser, which then names the fault.
+    more for a longer row), each cut after its last newline. Each block is
+    parsed into one reused buffer with room for as many rows as a block of
+    its size can hold, and is all rows exactly when the parser consumed all
+    of it. The file must be a regular file, in UTF-8, with a ``feature_id``
+    header of at least two sample ids and no quote, NUL or carriage return
+    other than one ending a line; every later line a row as
+    ``_ckernel.parse_rows`` reads it, ending in a newline; and every value
+    finite and not negative. Anything else is left to the Python parser,
+    which then names the fault.
     """
     lib = _ckernel.load()
     if lib is None:
@@ -152,16 +155,20 @@ def _parse_compiled(path, delim: str):
             return None
         feature_ids = []
         levels = array.array("d")
+        shortest_row = 2 * width + 1  # an empty id and a one-digit number per field
+        parsed, spans = np.empty((0, width)), np.empty((0, 2), np.int64)
         while True:
             cut = block.rfind(b"\n", pos, size) + 1
             if cut:
-                spans = _ckernel.parse_rows(
-                    lib, block, pos, cut, delim, width, block.count(b"\n", pos, cut), levels, max_field
-                )
-                if spans is None:
+                if len(parsed) < (cut - pos) // shortest_row:  # the first block, or a grown one
+                    room = len(block) // shortest_row
+                    parsed, spans = np.empty((room, width)), np.empty((room, 2), np.int64)
+                rows, consumed = _ckernel.parse_rows(lib, block, pos, cut, delim, parsed, spans, max_field)
+                if consumed != cut - pos:
                     return None
+                levels.frombytes(memoryview(parsed[:rows]).cast("B"))
                 try:
-                    feature_ids += [str(view[s:e], "utf-8").strip() for s, e in spans.tolist()]
+                    feature_ids += [str(view[s:e], "utf-8").strip() for s, e in spans[:rows].tolist()]
                 except UnicodeDecodeError:
                     return None
                 pos = cut
@@ -283,20 +290,25 @@ def load_meta(path, fmt: str | None = None) -> SampleMeta:
     return SampleMeta(tuple(records))
 
 
+# the weight tokens a weights file may hold, and their values
+_WEIGHTS = {"-1": -1, "0": 0, "1": 1}
+
+
 def load_weights(path, fmt: str | None = None) -> list[tuple[str, str, int]]:
     """Parse explicit pair-weight entries; completion against the treated set
     and defaulting of unlisted pairs happen in PairWeights.from_entries."""
     rows, line, header = _open_rows(path, fmt, "weights")
     cols = _header_map(header, _WEIGHT_COLUMNS, path, line)
+    a_col, b_col, weight_col = (cols[name] for name in _WEIGHT_COLUMNS)
     entries = []
     for line_no, row in rows:
-        row = [cell.strip() for cell in row]
         if len(row) != len(_WEIGHT_COLUMNS):
             raise ValidationError(f"{path}:{line_no}: expected {len(_WEIGHT_COLUMNS)} fields, got {len(row)}")
-        token = row[cols["weight"]]
-        if token not in ("-1", "0", "1"):
+        token = row[weight_col].strip()
+        weight = _WEIGHTS.get(token)
+        if weight is None:
             raise ValidationError(f"{path}:{line_no}: weight must be -1, 0 or 1, got {token!r}")
-        entries.append((row[cols["sample_a"]], row[cols["sample_b"]], int(token)))
+        entries.append((row[a_col].strip(), row[b_col].strip(), weight))
     return entries
 
 
@@ -329,18 +341,23 @@ def compute_ratios(matrix: ExpressionMatrix, meta: SampleMeta, report: IngestRep
         raise ValidationError("metadata lists no treated samples")
     control_ids = [meta.control_for(treated) for treated in treated_ids]
     values = matrix.values
+    # every column's zero count and smallest positive value (levels are not
+    # negative, so a level that is not zero is positive), each in one pass over
+    # the whole matrix; the mask is freed before the ratio blocks are built
+    is_zero = values == 0.0
+    zero_counts = np.count_nonzero(is_zero, axis=0).tolist()
+    smallest = values.min(axis=0, initial=np.inf, where=np.logical_not(is_zero, out=is_zero)).tolist()
+    del is_zero
     replaced: dict[str, tuple[float, int]] = {}
     # each used column once, in the order the ratios meet them: a treated
     # sample's control, then the sample
     for sample_id in dict.fromkeys(itertools.chain.from_iterable(zip(control_ids, treated_ids))):
-        col = values[:, matrix.sample_index(sample_id)]
-        zeros = int(np.count_nonzero(col == 0.0))
-        if zeros == 0:
+        col = matrix.sample_index(sample_id)
+        if zero_counts[col] == 0:
             continue
-        try:
-            replaced[sample_id] = (replacement_value(col), zeros)
-        except ValidationError:
-            raise ValidationError(f"column {sample_id!r} is entirely zero; ratios are undefined") from None
+        if smallest[col] == np.inf:
+            raise ValidationError(f"column {sample_id!r} is entirely zero; ratios are undefined")
+        replaced[sample_id] = (smallest[col], zero_counts[col])
 
     def resolved(sample_ids) -> np.ndarray:
         """The columns of ``sample_ids`` with each zero replaced by its column's stand-in."""

@@ -7,6 +7,7 @@ the writeable flag cleared.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,8 @@ def _readonly(values, name: str, ndim: int) -> np.ndarray:
 
 
 def _check_unique(ids, name: str) -> None:
+    if len(set(ids)) == len(ids):
+        return
     seen = set()
     for ident in ids:
         if ident in seen:
@@ -220,11 +223,13 @@ class PairWeights:
         ids = list(treated_ids)
         if default not in (-1, 0, 1):
             raise ValidationError(f"default weight must be -1, 0 or 1, got {default!r}")
+        default = int(default)
         known = set(ids)
-        table = {}
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                table[_pair_key(ids[a], ids[b])] = default
+        if len(known) != len(ids):
+            twice = next(i for i in ids if ids.count(i) > 1)
+            raise ValidationError(f"weight pair must name two distinct samples, got {twice!r} twice")
+        # sorted ids make every combination a normalised key
+        table = dict.fromkeys(itertools.combinations(sorted(ids), 2), default)
         listed = set()
         for a, b, w in entries:
             if a not in known or b not in known:
@@ -236,7 +241,10 @@ class PairWeights:
             if w not in (-1, 0, 1):
                 raise ValidationError(f"weight for pair {key!r} must be -1, 0 or 1, got {w!r}")
             table[key] = int(w)
-        return cls(table)
+        # every key is normalised and every weight checked: skip __post_init__
+        weights = object.__new__(cls)
+        object.__setattr__(weights, "weights", table)
+        return weights
 
     def get(self, a: str, b: str) -> int:
         return self.weights[_pair_key(a, b)]

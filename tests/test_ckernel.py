@@ -118,10 +118,10 @@ def test_parser_that_rejects_a_probe_number_is_not_used(fresh_loader, monkeypatc
 def test_parser_that_misrounds_is_not_used(fresh_loader, monkeypatch):
     parse_rows = _ckernel.parse_rows
 
-    def misround(lib, block, start, stop, delim, width, rows, values, max_field):
-        spans = parse_rows(lib, block, start, stop, delim, width, rows, values, max_field)
-        values[5] = math.nextafter(values[5], math.inf)  # the probe's 1e23
-        return spans
+    def misround(lib, block, start, stop, delim, values, spans, max_field):
+        parsed = parse_rows(lib, block, start, stop, delim, values, spans, max_field)
+        values[0, 5] = math.nextafter(values[0, 5], math.inf)  # the probe's 1e23
+        return parsed
 
     monkeypatch.setattr(_ckernel, "parse_rows", misround)
     with pytest.warns(_ckernel.KernelFallbackWarning, match=r"C parser read '1e23' as 1\.0000000000000001e\+23"):

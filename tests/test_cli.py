@@ -36,6 +36,15 @@ def run_args(dataset, out_dir, *extra):
     ]
 
 
+def written(out_dir):
+    """The bytes of every file a run wrote, except the wall-clock timings."""
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and path.name != "timings.json"
+    }
+
+
 class TestSynthCommand:
     def test_emits_loadable_files(self, dataset):
         matrix, _ = load_matrix(dataset / "matrix.tsv")
@@ -105,6 +114,25 @@ class TestRunCommand:
             dend = json.loads((out / "all_features" / "dendrogram.json").read_text())
             expected_leaves = 8 if mode == "ratios" else 10
             assert len(dend["leaves"]) == expected_leaves
+
+    def test_cluster_all_features_builds_no_objective_context(self, dataset, tmp_path, monkeypatch):
+        args = ("--cluster-all-features", "--cut-k", "2", "--seed", "3")
+        assert main(run_args(dataset, tmp_path / "plain", *args)) == 0
+
+        def unused(*_):
+            raise AssertionError("--cluster-all-features built the objective context")
+
+        monkeypatch.setattr(ObjectiveContext, "from_matrices", unused)
+        assert main(run_args(dataset, tmp_path / "lean", *args)) == 0
+        assert written(tmp_path / "lean") == written(tmp_path / "plain")
+
+    @pytest.mark.parametrize("extra", [("--n", "8", "--seed", "5"), ("--cluster-all-features",)],
+                             ids=["sweep", "all-features"])
+    def test_timings_hold_the_ingest_time(self, dataset, tmp_path, extra):
+        out = tmp_path / "out"
+        assert main(run_args(dataset, out, *extra)) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert isinstance(timings["ingest"], float) and timings["ingest"] > 0.0
 
     def test_interrupted_json_write_keeps_the_earlier_file(self, dataset, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -309,6 +337,32 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(run_args(dataset, out, *extra)) == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [rows[0][:2] + ["2"], *rows[1:]], "{weights}:2: weight must be -1, 0 or 1, got '2'"),
+        (lambda rows: [[rows[0][0], "nosuch", "1"], *rows[1:]],
+         "weight entry ('cmpA_1', 'nosuch') names an unknown treated sample"),
+        (lambda rows: [*rows, [rows[0][1], rows[0][0], "0"]],
+         "pair ('cmpA_1', 'cmpA_2') listed more than once in weights"),
+    ], ids=["weight-2", "unknown-sample", "listed-twice"])
+    def test_bad_weights_file_fails_in_all_features_mode(self, dataset, tmp_path, caplog, edit, message):
+        lines = (dataset / "weights.tsv").read_text(encoding="utf-8").splitlines()
+        rows = edit([line.split("\t") for line in lines[1:]])
+        (dataset / "weights.tsv").write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(run_args(dataset, out, "--cluster-all-features")) == 2
+        assert "validation error: " + message.format(weights=dataset / "weights.tsv") in caplog.text
+        assert not out.exists()
+
+    def test_overflowing_levels_fail_in_all_features_mode(self, dataset, tmp_path, caplog):
+        # squares of levels this large overflow, so every profile would look constant
+        matrix, _ = load_matrix(dataset / "matrix.tsv")
+        huge = tmp_path / "huge.tsv"
+        ingest.write_table(huge, "feature_id", matrix.sample_ids, matrix.feature_ids, matrix.values * 1e200)
+        args = run_args(dataset, tmp_path / "o", "--cluster-all-features", "--cluster-mode", "levels")
+        args[args.index("--matrix") + 1] = str(huge)
+        assert main(args) == 2
+        assert "validation error: profiles too large: a sum of squares overflows" in caplog.text
 
     def test_height_inversion_is_numerical_error(self, dataset, tmp_path, monkeypatch, caplog):
         def inverted(d):

@@ -20,7 +20,7 @@ from rnasel.ingest import (
     write_meta,
     write_weights,
 )
-from rnasel.model import PairWeights
+from rnasel.model import PairWeights, SampleMeta, SampleRecord
 
 from conftest import make_matrix, make_meta
 
@@ -208,10 +208,10 @@ def compiled_library():
 def parse_one_row(lib, tokens, delim="\t"):
     """The numbers the C parser reads from one row of ``tokens``, or None."""
     row = bytearray(("f" + delim + delim.join(tokens) + "\n").encode())
-    values = array.array("d")
-    if _ckernel.parse_rows(lib, row, 0, len(row), delim, len(tokens), 1, values, len(row)) is None:
+    values = np.empty((1, len(tokens)))
+    if _ckernel.parse_rows(lib, row, 0, len(row), delim, values, np.empty((1, 2), np.int64), len(row)) != (1, len(row)):
         return None
-    return values
+    return values[0]
 
 
 DIGITS = st.text("0123456789", min_size=1, max_size=60)
@@ -264,17 +264,30 @@ class TestCompiledParser:
     def test_stops_at_the_first_bad_row_and_reads_only_its_block(self):
         lib = compiled_library()
         block = bytearray(b"a\t1\t2\nb\t3\t4\r\nc\t5\t6\nd\t7\t8\n")
-        values = array.array("d")
-        spans = _ckernel.parse_rows(lib, block, 0, len(block), "\t", 2, 3, values, 100)
-        assert [bytes(block[s:e]) for s, e in spans.tolist()] == [b"a", b"b", b"c"]
-        assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        values, spans = np.empty((4, 2)), np.empty((4, 2), np.int64)
+
+        def parse(start, stop, rows=4, max_field=100):
+            """(rows parsed, bytes consumed, their ids)"""
+            got, used = _ckernel.parse_rows(lib, block, start, stop, "\t", values[:rows], spans[:rows], max_field)
+            return got, used, [bytes(block[s:e]) for s, e in spans[:got].tolist()]
+
+        assert parse(0, len(block)) == (4, len(block), [b"a", b"b", b"c", b"d"])
+        assert values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+        # no more rows than values has room for
+        assert parse(0, len(block), rows=3) == (3, 19, [b"a", b"b", b"c"])
         # the block ends inside the last number's row end: no row is read past it
-        assert _ckernel.parse_rows(lib, block, 0, len(block) - 1, "\t", 2, 4, array.array("d"), 100) is None
-        assert _ckernel.parse_rows(lib, block, 0, 10, "\t", 2, 2, array.array("d"), 100) is None
+        assert parse(0, len(block) - 1) == (3, 19, [b"a", b"b", b"c"])
+        assert parse(0, 10) == (1, 6, [b"a"])
+        # consumed bytes count from start; ids are offsets into the whole block
+        assert parse(6, len(block)) == (3, len(block) - 6, [b"b", b"c", b"d"])
         # a field longer than max_field
-        assert _ckernel.parse_rows(lib, block, 0, 6, "\t", 2, 1, array.array("d"), 0) is None
+        assert parse(0, len(block), max_field=0) == (0, 0, [])
+        block[15] = ord("x")  # row c's first number
+        assert parse(0, len(block)) == (2, 13, [b"a", b"b"])
         with pytest.raises(ValueError, match="outside"):
-            _ckernel.parse_rows(lib, block, 0, len(block) + 1, "\t", 2, 4, array.array("d"), 100)
+            parse(0, len(block) + 1)
+        with pytest.raises(ValueError, match="do not match"):
+            _ckernel.parse_rows(lib, block, 0, len(block), "\t", values, spans[:3], 100)
 
 
 FLOAT64 = st.one_of(
@@ -461,6 +474,25 @@ class TestCompiledPathMatchesPython:
         monkeypatch.setattr(ingest, "_BLOCK", block)
         assert_paths_agree(path, monkeypatch, True)
 
+    @pytest.mark.parametrize("delim, name", [("\t", "m.tsv"), (",", "m.csv")])
+    def test_shortest_rows_fill_the_buffer_and_a_long_row_grows_the_block(self, tmp_path, monkeypatch, delim, name):
+        # the shortest row, an empty id and a one-digit number per field, is
+        # 2 * width + 1 = 5 bytes; every block after the first starts at a row
+        # and holds a multiple of 5 bytes, so its rows fill the buffer exactly
+        block, shortest = 60, delim.join(["", "1", "2"]).encode() + b"\n"
+        long_row = delim.join(["x" * (3 * block), "3", "4"]).encode() + b"\n"
+        head = delim.join(["feature_id", "s0", "s1"]).encode() + b"\n"
+        path = tmp_path / name
+        path.write_bytes(head + shortest * 50 + long_row + shortest * 100)
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        assert len(shortest) == 5
+        parsed = ingest._parse_compiled(path, delim)
+        assert parsed is not None
+        sample_ids, feature_ids, values = parsed
+        assert feature_ids == [""] * 50 + ["x" * (3 * block)] + [""] * 100
+        assert values.tolist() == [[1.0, 2.0]] * 50 + [[3.0, 4.0]] + [[1.0, 2.0]] * 100
+        assert_paths_agree(path, monkeypatch, True)
+
 
 class TestLoadMeta:
     def test_valid(self, tmp_path):
@@ -607,12 +639,17 @@ class TestComputeRatios:
 
     def test_matches_the_per_column_reference(self):
         rng = np.random.default_rng(5)
-        ids = ["cmpA_1", "control_1", "cmpB_2", "control_2", "cmpA_2", "cmpB_1", "cmpC_1", "cmpC_2"]
+        ids = ["cmpA_1", "control_1", "cmpB_2", "control_3", "control_2", "cmpA_2", "cmpB_1", "cmpC_1", "cmpC_2"]
         values = rng.lognormal(0, 2, size=(50, len(ids)))
+        # cmpB_1's control: levels under 2, so a subnormal over them stays above 0
+        values[:, ids.index("control_1")] = rng.uniform(0.6, 1.4, size=50)
         values[rng.random(values.shape) < 0.2] = 0.0
         values[:, ids.index("cmpC_2")] = rng.lognormal(0, 2, size=50)  # a column without zeros
+        values[:, ids.index("control_3")] = 0.0  # all zero, but no treated sample uses it
+        values[:, ids.index("cmpB_1")] = 0.0
+        values[7, ids.index("cmpB_1")] = 5e-324  # the only positive value is subnormal
         matrix = make_matrix(values, sample_ids=ids)
-        meta = make_meta(3)
+        meta = SampleMeta(make_meta(3).samples + (SampleRecord("control_3", "control", "", 3, ""),))
         report = IngestReport()
         rm = compute_ratios(matrix, meta, report)
 
@@ -629,8 +666,9 @@ class TestComputeRatios:
         assert rm.ratios.tobytes() == want.tobytes()
         assert report.zero_replacements == [
             (s, column(s)[column(s) > 0].min(), int(np.count_nonzero(column(s) == 0)))
-            for s in sorted(ids) if s != "cmpC_2"
+            for s in sorted(ids) if s not in ("cmpC_2", "control_3")
         ]
+        assert ("cmpB_1", 5e-324, 49) in report.zero_replacements
 
 
 class TestRoundTrip:

@@ -137,6 +137,39 @@ class TestPairWeights:
         with pytest.raises(ValidationError):
             PairWeights.from_entries(("a", "b"), [("a", "b", 1), ("b", "a", 0)])
 
+    @pytest.mark.parametrize("ids, entries, message", [
+        (("a", "b", "c"), [("a", "a", 1)], "weight pair must name two distinct samples, got 'a' twice"),
+        (("a", "b"), [("b", "a", 2)], r"weight for pair \('a', 'b'\) must be -1, 0 or 1, got 2"),
+        (("b", "a", "c", "a", "b"), [], "weight pair must name two distinct samples, got 'b' twice"),
+        (("a", "b"), [("a", "zz", 1)], r"weight entry \('a', 'zz'\) names an unknown treated sample"),
+        (("a", "b"), [("a", "b", 1), ("b", "a", 0)], r"pair \('a', 'b'\) listed more than once in weights"),
+    ], ids=["self-pair", "bad-value", "repeated-id", "unknown-sample", "listed-twice"])
+    def test_from_entries_messages(self, ids, entries, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            PairWeights.from_entries(ids, entries)
+
+    @given(st.data())
+    def test_from_entries_matches_a_pair_by_pair_reference(self, data):
+        ids = data.draw(st.lists(st.text("abcAB_1", min_size=1, max_size=3), min_size=2, max_size=9, unique=True))
+        default = data.draw(st.sampled_from([-1, 0, 1]))
+        pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+        listed = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        entries = [
+            (b, a, w) if data.draw(st.booleans()) else (a, b, w)
+            for (a, b), w in zip(listed, data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(listed))))
+        ]
+        reference = {}
+        for k, a in enumerate(ids):
+            for b in ids[k + 1:]:
+                reference[(a, b) if a < b else (b, a)] = default
+        for a, b, w in entries:
+            reference[(a, b) if a < b else (b, a)] = w
+        weights = PairWeights.from_entries(ids, entries, default)
+        assert weights.weights == reference
+        assert weights == PairWeights(reference)
+        assert all(weights.get(b, a) == w for (a, b), w in reference.items())
+        assert weights.count_positive == sum(w == 1 for w in reference.values())
+
 
 class TestSelection:
     def test_valid(self):
