@@ -32,7 +32,7 @@ typedef struct {
     const double *ratios; /* F x G, row-major */
     const double *norms;  /* F */
     const int64_t *iu, *ju; /* P */
-    const double *w;      /* P */
+    const double *w;      /* P, none of them 0 */
     int64_t *sel, *comp, *best_sel; /* n, F - n, n */
     double *s1, *s2, *cp; /* G, G, P */
     double *t_s1, *t_s2, *t_cp, *m, *v;
@@ -75,10 +75,7 @@ static double u1_from_sums(const chain_t *c)
         c->v[g] = var;
     }
     for (int64_t p = 0; p < c->p; p++) {
-        double wp = c->w[p], dv, r;
-        if (wp == 0.0)
-            continue;
-        dv = c->v[c->iu[p]] * c->v[c->ju[p]];
+        double dv = c->v[c->iu[p]] * c->v[c->ju[p]], r;
         if (dv <= 0.0)
             continue;
         r = (c->t_cp[p] * inv - c->m[c->iu[p]] * c->m[c->ju[p]]) / sqrt(dv);
@@ -86,7 +83,7 @@ static double u1_from_sums(const chain_t *c)
             r = 1.0;
         else if (r < -1.0)
             r = -1.0;
-        acc += wp * fabs(r);
+        acc += c->w[p] * fabs(r);
     }
     return acc / c->count_pos;
 }

@@ -204,26 +204,31 @@ def _probe(lib) -> None:
         raise _Unavailable(f"C formatter wrote {got!r}, not {want!r}")
 
 
+def _bind(lib):
+    """Declare the argument and result types of ``lib``'s functions; return it."""
+    lib.rnasel_bounded.argtypes = (ctypes.c_void_p, ctypes.c_int64)
+    lib.rnasel_bounded.restype = ctypes.c_int64
+    lib.rnasel_anneal_chain.argtypes = (
+        ctypes.POINTER(Chain), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    )
+    lib.rnasel_anneal_chain.restype = None
+    lib.rnasel_parse_rows.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64),
+    )
+    lib.rnasel_parse_rows.restype = ctypes.c_int64
+    lib.rnasel_format_row.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+    )
+    lib.rnasel_format_row.restype = ctypes.c_int64
+    return lib
+
+
 @functools.cache
 def _load_once():
     try:
-        lib = ctypes.CDLL(str(_build(cache_dir())))
-        lib.rnasel_bounded.argtypes = (ctypes.c_void_p, ctypes.c_int64)
-        lib.rnasel_bounded.restype = ctypes.c_int64
-        lib.rnasel_anneal_chain.argtypes = (
-            ctypes.POINTER(Chain), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        )
-        lib.rnasel_anneal_chain.restype = None
-        lib.rnasel_parse_rows.argtypes = (
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64),
-        )
-        lib.rnasel_parse_rows.restype = ctypes.c_int64
-        lib.rnasel_format_row.argtypes = (
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-        )
-        lib.rnasel_format_row.restype = ctypes.c_int64
+        lib = _bind(ctypes.CDLL(str(_build(cache_dir()))))
         _probe(lib)
     except (_Unavailable, OSError, AttributeError, subprocess.TimeoutExpired) as exc:
         warnings.warn(

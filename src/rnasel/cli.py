@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 parameter error, 5 num
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -250,12 +249,6 @@ def _sample_labels(meta: SampleMeta, sample_ids) -> list[str]:
     return labels
 
 
-def _write_json(path: Path, payload) -> None:
-    with ingest.replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_text(path: Path, text: str) -> None:
     with ingest.replacing(path) as fh:
         fh.write(text)
@@ -271,7 +264,7 @@ def _cluster_outputs(cell_dir: Path, labels, profiles, config: RunConfig, title:
         _write_text(cell_dir / "dendrogram.nwk", clustering.to_newick(dend) + "\n")
         entry["dendrogram"]["newick"] = "dendrogram.nwk"
     if "json" in want:
-        _write_json(cell_dir / "dendrogram.json", clustering.to_merge_dict(dend))
+        ingest.write_json(cell_dir / "dendrogram.json", clustering.to_merge_dict(dend))
         entry["dendrogram"]["json"] = "dendrogram.json"
     if "svg" in want:
         _write_text(cell_dir / "dendrogram.svg", render.dendrogram_svg(dend, title))
@@ -333,7 +326,7 @@ def _run_cell(
         "indices": list(best.indices),
         "feature_ids": [matrix.feature_ids[i] for i in best.indices],
     }
-    _write_json(cell_dir / "selection.json", sel_payload)
+    ingest.write_json(cell_dir / "selection.json", sel_payload)
     trace.to_csv(cell_dir / "trace.csv")
 
     idx = np.array(best.indices, dtype=np.int64)
@@ -435,8 +428,8 @@ def run_pipeline(config: RunConfig) -> int:
                 timings["cells"][key] = elapsed
 
     timings["total"] = time.perf_counter() - total_start
-    _write_json(out_root / "summary.json", summary)
-    _write_json(out_root / "timings.json", timings)
+    ingest.write_json(out_root / "summary.json", summary)
+    ingest.write_json(out_root / "timings.json", timings)
     for key in summary["cells"]:
         cell = summary["cells"][key]
         print(f"{key}: u={cell['u']!r} u1={cell['u1']!r} u2={cell['u2']!r} -> {cell['directory']}")

@@ -22,6 +22,7 @@ import array
 import contextlib
 import csv
 import itertools
+import json
 import os
 import stat
 from dataclasses import dataclass, field
@@ -394,13 +395,22 @@ def replacing(path, mode: str = "w"):
         raise
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as sorted, indented JSON and a newline, through ``replacing``."""
+    with replacing(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_table(path, corner: str, column_ids, row_ids, values: np.ndarray, delim: str = "\t") -> None:
     """Write a labelled table of floats: a header of ``corner`` and the column
     ids, then each row id and its values as ``%.17g``, which reads back to the
-    same double. The C library writes the numbers when it is loaded and
-    ``delim`` is one ASCII character (``_ckernel.format_rows``), else Python's
+    same double. ``delim`` must be one ASCII character. The C library writes
+    the numbers when it is loaded (``_ckernel.format_rows``), else Python's
     ``%`` operator does; both give the same bytes."""
-    lib = _ckernel.load() if len(delim) == 1 and delim.isascii() else None
+    if len(delim) != 1 or not delim.isascii():
+        raise ValueError(f"delimiter must be one ASCII character, got {delim!r}")
+    lib = _ckernel.load()
     with replacing(path, "wb") as fh:
         fh.write((corner + delim + delim.join(column_ids) + "\n").encode("utf-8"))
         if lib is None:

@@ -12,7 +12,9 @@ hence u, lie in [0, 1]; pairs with weight -1 subtract from u1 and can push it
 below 0, which is permitted and documented.
 
 The annealer's inner loop never re-evaluates from scratch: ``SubsetState``
-carries per-column and per-pair running sums so a swap costs O(pairs).
+carries per-column and per-pair running sums so a swap costs O(pairs). Pairs
+of weight 0 are dropped before annealing (``ObjectiveContext.pair_data``):
+they add nothing to u1, so u does not change, and sparse weights cost less.
 """
 
 from __future__ import annotations
@@ -72,16 +74,12 @@ class ObjectiveParams:
 
 @dataclass(frozen=True)
 class PairData:
-    """Pair weights aligned to ratio-matrix column order."""
+    """The pairs of nonzero weight, aligned to ratio-matrix column order."""
 
     iu: np.ndarray
     ju: np.ndarray
     w: np.ndarray
     count_positive: float
-
-    def triples(self) -> list[tuple[int, int, float]]:
-        """(i, j, w) of every pair, as Python numbers."""
-        return list(zip(self.iu.tolist(), self.ju.tolist(), self.w.tolist()))
 
 
 class ObjectiveContext:
@@ -130,7 +128,7 @@ class ObjectiveContext:
         return self.ratios.shape[1]
 
     def pair_data(self, weights: PairWeights) -> PairData:
-        """Align ``weights`` with this context's treated-sample columns."""
+        """The pairs of nonzero weight in ``weights``, in upper-triangle order."""
         g = self.n_treated
         iu, ju = np.triu_indices(g, 1)
         w = np.empty(len(iu), dtype=np.float64)
@@ -139,7 +137,8 @@ class ObjectiveContext:
         count_pos = float(np.count_nonzero(w == 1.0))
         if count_pos < 1:
             raise ParameterError("pair weights must assign weight 1 to at least one pair")
-        return PairData(iu.astype(np.int64), ju.astype(np.int64), w, count_pos)
+        keep = w != 0.0
+        return PairData(iu[keep].astype(np.int64), ju[keep].astype(np.int64), w[keep], count_pos)
 
 
 def _check_indices(context: ObjectiveContext, indices) -> np.ndarray:
@@ -168,9 +167,7 @@ def eval_u1(context: ObjectiveContext, indices, weights: PairWeights) -> float:
     idx = _check_indices(context, indices)
     pair = context.pair_data(weights)
     s1, s2, cp = _subset_sums(context, idx, pair)
-    return _kernels.u1_from_sums(
-        idx.size, s1.tolist(), s2.tolist(), cp.tolist(), pair.triples(), pair.count_positive
-    )
+    return _kernels.u1_from_sums(idx.size, s1, s2, cp, pair)
 
 
 def eval_u2(context: ObjectiveContext, indices) -> float:
@@ -220,8 +217,6 @@ class SubsetState:
         idx = _check_indices(context, indices)
         if idx.size != params.n:
             raise ParameterError(f"subset has {idx.size} features but params.n = {params.n}")
-        if params.n > context.n_features:
-            raise ParameterError(f"n = {params.n} exceeds {context.n_features} features")
         pair = context.pair_data(params.weights)
         s1, s2, cp = _subset_sums(context, idx, pair)
         comp = np.setdiff1d(np.arange(context.n_features, dtype=np.int64), idx)
@@ -234,10 +229,7 @@ class SubsetState:
 
     def current_parts(self) -> tuple[float, float, float]:
         """(u, u1, u2) computed from the running sums."""
-        u1 = _kernels.u1_from_sums(
-            self.n, self.s1.tolist(), self.s2.tolist(), self.cp.tolist(),
-            self.pair.triples(), self.pair.count_positive,
-        )
+        u1 = _kernels.u1_from_sums(self.n, self.s1, self.s2, self.cp, self.pair)
         u2 = self.norm_sum / (self.n * self.context.max_norm)
         return (1.0 - self.alpha) * u1 + self.alpha * u2, u1, u2
 
@@ -284,17 +276,13 @@ def swap_delta(
     """Objective after swapping one feature, in O(pairs).
 
     Returns (new_u, pending); commit with ``state.apply(pending)``. The state
-    is untouched until then.
+    is untouched until then. ``params`` must be those the state was built with.
     """
+    if (params.alpha, params.n) != (state.alpha, state.n):
+        raise ParameterError("params differ from those the subset state was built with")
     if not state.contains(out_feature):
         raise ParameterError(f"feature {out_feature} is not in the current subset")
     if state.contains(in_feature) or not 0 <= in_feature < context.n_features:
         raise ParameterError(f"feature {in_feature} is not available to swap in")
-    new_u, (s1, s2, cp, norm_sum) = _kernels.ListChain(state, params.alpha).trial_swap(
-        context.ratios[in_feature].tolist(), context.ratios[out_feature].tolist(),
-        float(context.norms[in_feature]), float(context.norms[out_feature]),
-    )
-    pending = PendingSwap(
-        int(out_feature), int(in_feature), np.array(s1), np.array(s2), np.array(cp), float(norm_sum), float(new_u)
-    )
-    return float(new_u), pending
+    new_u, (s1, s2, cp, norm_sum) = _kernels.trial_swap(state, in_feature, out_feature)
+    return new_u, PendingSwap(int(out_feature), int(in_feature), s1, s2, cp, norm_sum, new_u)

@@ -21,7 +21,6 @@ rather than by compound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,7 +163,5 @@ def write_dataset(out_dir, matrix: ExpressionMatrix, meta: SampleMeta, truth: Gr
     ingest.write_meta(meta, paths["meta"])
     treated = meta.treated_ids()
     ingest.write_weights(PairWeights.from_entries(treated, default=default_weight), paths["weights"])
-    with ingest.replacing(paths["truth"]) as fh:
-        json.dump(truth.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ingest.write_json(paths["truth"], truth.to_dict())
     return paths

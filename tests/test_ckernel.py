@@ -1,7 +1,9 @@
 import math
 import os
 import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from rnasel.objective import ObjectiveParams
 
 from conftest import all_ones_weights, random_context, trace_columns
 
+SRC = Path(_ckernel.__file__).resolve().parents[1]
 needs_compiler = pytest.mark.skipif(_ckernel.find_compiler() is None, reason="no C compiler for the swap kernel")
 
 
@@ -64,6 +67,84 @@ def test_source_compiles_without_warnings(tmp_path):
     ]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run in a child process by test_library_is_clean_under_ubsan, with the path
+# of a sanitizer build: an abort there fails the test instead of pytest.
+UBSAN_CHECKS = r"""
+import ctypes, itertools, sys
+import numpy as np
+from rnasel import _ckernel, annealer
+from rnasel.model import PairWeights
+from rnasel.objective import ObjectiveContext, ObjectiveParams
+
+lib = _ckernel._bind(ctypes.CDLL(sys.argv[1]))
+_ckernel._probe(lib)
+rng = np.random.default_rng(20211105)
+
+bits = rng.integers(0, 2**64, size=4096, dtype=np.uint64, endpoint=False).view(np.float64)
+powers = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+nearby = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+values = np.concatenate([bits, nearby, -nearby])
+values = values[: len(values) // 8 * 8].reshape(-1, 8)
+for row, text in zip(values, _ckernel.format_rows(lib, values, "\t")):
+    want = "".join("\t" + "%.17g" % x for x in row.tolist()) + "\n"
+    assert bytes(text).decode() == want, (row.tolist(), bytes(text))
+
+finite = values[np.isfinite(values)]
+digits = ["".join(rng.choice(list("0123456789"), size=k)) for k in rng.integers(1, 30, size=2000)]
+texts = [repr(x) for x in finite.tolist()] + [
+    f"{sign}{d[:cut]}.{d[cut:]}e{exp}"
+    for sign, d, cut, exp in zip(
+        itertools.cycle(["", "-", "+"]), digits, rng.integers(0, 30, size=2000), rng.integers(-400, 400, size=2000)
+    )
+]
+texts = texts[: len(texts) // 8 * 8]
+block = bytearray(
+    "".join(f"r{k}\t" + "\t".join(texts[k : k + 8]) + "\n" for k in range(0, len(texts), 8)).encode()
+)
+got = np.empty((len(texts) // 8, 8))
+rows, consumed = _ckernel.parse_rows(lib, block, 0, len(block), "\t", got, np.empty((len(got), 2), np.int64), 64)
+assert (rows, consumed) == (len(got), len(block)), (rows, consumed)
+want = np.array([float(t) for t in texts]).reshape(-1, 8)
+assert got.tobytes() == want.tobytes()
+
+g = 6
+ids = tuple(f"t{k}" for k in range(g))
+ctx = ObjectiveContext(rng.normal(size=(30, g)), rng.random(30) + 0.1, ids)
+weights = PairWeights.from_entries(ids, [("t0", "t1", 1), ("t2", "t3", 1), ("t0", "t5", -1)], default=0)
+params = ObjectiveParams(alpha=0.3, n=5, weights=weights)
+schedule = annealer.AnnealSchedule(t_init=1.0, t_final=1e-2, gamma=0.9, swaps_per_temperature=20, seed=5)
+_ckernel.load = lambda: lib
+selection, trace = annealer.run(ctx, params, schedule)
+_ckernel.load = lambda: None
+reference, reference_trace = annealer.run(ctx, params, schedule)
+assert selection == reference and trace.current_u.tobytes() == reference_trace.current_u.tobytes()
+assert trace.accepted_count.sum() > 0
+print(len(values), "rows formatted,", len(got), "rows parsed,", trace.accepted_count.size, "steps annealed")
+"""
+
+
+@needs_compiler
+def test_library_is_clean_under_ubsan(tmp_path):
+    # the whole library built with undefined-behaviour checks that abort:
+    # the load probe, random and boundary doubles written and read back, and
+    # one short chain
+    build = tmp_path / "anneal-ubsan.so"
+    command = [
+        _ckernel.find_compiler(), *_ckernel.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
+        "-o", str(build), str(_ckernel.SOURCE), "-lm",
+    ]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0 and "ubsan" in proc.stderr:
+        pytest.skip(f"no libubsan: {proc.stderr.strip()}")
+    assert proc.returncode == 0, proc.stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", UBSAN_CHECKS, str(build)], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert child.returncode == 0, child.stderr
+    assert "runtime error" not in child.stderr, child.stderr
 
 
 @needs_compiler

@@ -361,6 +361,17 @@ class TestWriteTable:
         fast, slow = both_writers(tmp_path, monkeypatch, "label", dis.labels, dis.labels, dis.d)
         assert fast == slow
 
+    @pytest.mark.parametrize("library", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("delim", ["", ";;", "\u00e9"])
+    def test_delimiter_must_be_one_ascii_character(self, tmp_path, monkeypatch, library, delim):
+        if library:
+            compiled_library()
+        else:
+            monkeypatch.setattr(_ckernel, "load", lambda: None)
+        with pytest.raises(ValueError, match="one ASCII character"):
+            ingest.write_table(tmp_path / "t.tsv", "feature_id", ["s0"], ["f0"], np.ones((1, 1)), delim)
+        assert list(tmp_path.iterdir()) == []
+
     def test_interrupted_write_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "m.tsv"
         write_matrix(make_matrix([[1.0, 2.0], [3.0, 4.0]]), path)

@@ -11,6 +11,7 @@ from rnasel.objective import (
     DegeneratePairWarning,
     ObjectiveContext,
     ObjectiveParams,
+    PairData,
     SubsetState,
     eval_u,
     eval_u1,
@@ -325,6 +326,15 @@ class TestSwapDelta:
         with pytest.raises(ParameterError):
             swap_delta(ctx, state, inside, inside, params)  # in already present
 
+    def test_params_must_be_those_of_the_state(self):
+        # a swap is scored with the state's blend weight and size
+        _, ctx, params, state = self._setup(seed=53)
+        inside, outside = int(state.sel[0]), int(state.comp[0])
+        for other in (ObjectiveParams(alpha=0.5, n=params.n, weights=params.weights),
+                      ObjectiveParams(alpha=params.alpha, n=params.n + 1, weights=params.weights)):
+            with pytest.raises(ParameterError, match="params differ"):
+                swap_delta(ctx, state, inside, outside, other)
+
     @pytest.mark.skipif(_ckernel.find_compiler() is None, reason="no C compiler for the swap kernel")
     def test_pure_python_kernel_fallback_matches_compiled(self, monkeypatch):
         # the C kernel against the Python reference it stands in for: whole
@@ -370,3 +380,46 @@ class TestSwapDelta:
         np.testing.assert_allclose(state.s1, rebuilt.s1, atol=1e-9)
         np.testing.assert_allclose(state.s2, rebuilt.s2, atol=1e-9)
         np.testing.assert_allclose(state.cp, rebuilt.cp, atol=1e-9)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_weight_zero_pairs_change_nothing(monkeypatch, backend):
+    # sparse weights: 1 on the replicate pairs (t0, t1), (t2, t3), ..., one
+    # -1, 0 on every other pair
+    g = 8
+    ctx = random_context(np.random.default_rng(14), 40, g)
+    ids = ctx.treated_ids
+    entries = [(ids[k], ids[k + 1], 1) for k in range(0, g, 2)] + [(ids[0], ids[g - 1], -1)]
+    weights = PairWeights.from_entries(ids, entries, default=0)
+    iu, ju = np.triu_indices(g, 1)
+    w = np.array([float(weights.get(ids[i], ids[j])) for i, j in zip(iu, ju)])
+    everything = PairData(iu.astype(np.int64), ju.astype(np.int64), w, 4.0)
+
+    pair = ctx.pair_data(weights)
+    assert 0.0 not in pair.w.tolist()
+    assert pair.count_positive == everything.count_positive
+    keep = w != 0.0
+    assert (pair.iu.tolist(), pair.ju.tolist(), pair.w.tolist()) == (
+        iu[keep].tolist(), ju[keep].tolist(), w[keep].tolist()
+    )
+    assert len(pair.w) == 5 < len(w)
+
+    if backend == "python":
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+    else:
+        assert _ckernel.load() is not None, "C kernel did not build or load"
+    params = ObjectiveParams(alpha=0.3, n=6, weights=weights)
+    schedule = AnnealSchedule(t_init=1.0, t_final=1e-3, gamma=0.95, swaps_per_temperature=5, seed=3, restarts=2)
+    dropped, dropped_trace = run(ctx, params, schedule)
+    monkeypatch.setattr(ObjectiveContext, "pair_data", lambda self, weights: everything)
+    kept, kept_trace = run(ctx, params, schedule)
+    assert dropped.indices == kept.indices
+    for a, b in [
+        ([dropped.objective, dropped.u1, dropped.u2], [kept.objective, kept.u1, kept.u2]),
+        (dropped_trace.temperature, kept_trace.temperature),
+        (dropped_trace.current_u, kept_trace.current_u),
+        (dropped_trace.best_u, kept_trace.best_u),
+        (dropped_trace.accepted_count, kept_trace.accepted_count),
+    ]:
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert dropped_trace.chain == kept_trace.chain
