@@ -27,7 +27,7 @@ import numpy as np
 from . import clustering, ingest, render, synth
 from .annealer import AnnealSchedule, run
 from .errors import NumericalError, ParameterError, ValidationError
-from .model import ROLE_TREATED, ExpressionMatrix, PairWeights, SampleMeta, SampleRecord
+from .model import ROLE_TREATED, PairWeights, SampleMeta
 from .objective import ObjectiveContext, ObjectiveParams
 
 EXIT_OK = 0
@@ -206,36 +206,23 @@ def _alpha_token(alpha: float) -> str:
     return repr(float(alpha))
 
 
-def _leaf_compound(label: str) -> str | None:
-    head, _, tail = label.rpartition("_")
-    if head and tail.isdigit():
-        return head
-    return None
-
-
-def report_groups(dend, k: int) -> str:
-    """Text listing of the k-cut; replicate leaves collapse to their compound
-    when every replicate of that compound lands in the same group."""
+def report_groups(dend, k: int, compounds) -> str:
+    """Text listing of the k-cut. ``compounds`` maps the label of each treated
+    leaf to its compound; the leaves of a compound collapse to its name when
+    all of them land in one group, and every other leaf is listed by label."""
     groups = clustering.cut(dend, k)
     homes: dict[str, set[int]] = {}
     for gi, group in enumerate(groups):
         for label in group:
-            compound = _leaf_compound(label)
-            if compound is not None:
-                homes.setdefault(compound, set()).add(gi)
+            if label in compounds:
+                homes.setdefault(compounds[label], set()).add(gi)
     lines = [f"k={k} groups:"]
     for gi, group in enumerate(groups, start=1):
         shown = []
-        seen = set()
         for label in group:
-            compound = _leaf_compound(label)
-            if compound is not None and len(homes[compound]) == 1:
-                if compound not in seen:
-                    seen.add(compound)
-                    shown.append(compound)
-            else:
-                shown.append(label)
-        lines.append(f"group {gi}: " + ", ".join(shown))
+            compound = compounds.get(label)
+            shown.append(compound if compound is not None and len(homes[compound]) == 1 else label)
+        lines.append(f"group {gi}: " + ", ".join(dict.fromkeys(shown)))
     return "\n".join(lines) + "\n"
 
 
@@ -254,31 +241,7 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _cluster_outputs(cell_dir: Path, labels, profiles, config: RunConfig, title: str) -> dict:
-    dis = clustering.dissimilarity(labels, profiles)
-    ingest.write_table(cell_dir / "dissimilarity.tsv", "label", dis.labels, dis.labels, dis.d)
-    dend = clustering.average_linkage(dis)
-    entry: dict = {"dissimilarity": "dissimilarity.tsv", "dendrogram": {}}
-    want = (config.format,) if config.format != "all" else ("newick", "json", "svg")
-    if "newick" in want:
-        _write_text(cell_dir / "dendrogram.nwk", clustering.to_newick(dend) + "\n")
-        entry["dendrogram"]["newick"] = "dendrogram.nwk"
-    if "json" in want:
-        ingest.write_json(cell_dir / "dendrogram.json", clustering.to_merge_dict(dend))
-        entry["dendrogram"]["json"] = "dendrogram.json"
-    if "svg" in want:
-        _write_text(cell_dir / "dendrogram.svg", render.dendrogram_svg(dend, title))
-        entry["dendrogram"]["svg"] = "dendrogram.svg"
-    if config.cut_k is not None:
-        k = min(config.cut_k, dend.n_leaves)
-        text = report_groups(dend, k)
-        _write_text(cell_dir / f"groups_k{k}.txt", text)
-        entry["groups"] = clustering.cut(dend, k)
-        entry["groups_file"] = f"groups_k{k}.txt"
-    return entry
-
-
-def _scatter_columns(matrix: ExpressionMatrix, meta: SampleMeta, compound: str | None):
+def _scatter_columns(meta: SampleMeta, compound: str | None):
     by_compound: dict[str, list] = {}
     for rec in meta.samples:
         if rec.role == ROLE_TREATED:
@@ -292,74 +255,6 @@ def _scatter_columns(matrix: ExpressionMatrix, meta: SampleMeta, compound: str |
         raise ParameterError(f"compound {compound!r} does not have two treated replicates")
     recs = sorted(candidates[compound], key=lambda r: r.replicate)[:2]
     return compound, recs[0], recs[1]
-
-
-def _run_cell(
-    cell_index: int,
-    n: int,
-    alpha: float,
-    context: ObjectiveContext,
-    matrix: ExpressionMatrix,
-    meta: SampleMeta,
-    ratio_labels: list[str],
-    weights: PairWeights,
-    config: RunConfig,
-    out_root: Path,
-    scatter: tuple[str, SampleRecord, SampleRecord] | None,
-) -> tuple[str, dict, float]:
-    started = time.perf_counter()
-    params = ObjectiveParams(alpha=alpha, n=n, weights=weights)
-    cell_seed = derive_cell_seed(config.seed, cell_index)
-    schedule = replace(config.schedule, seed=cell_seed)
-    best, trace = run(context, params, schedule, return_final=config.return_final)
-
-    cell_name = f"n{n}_alpha{_alpha_token(alpha)}"
-    cell_dir = out_root / cell_name
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    sel_payload = {
-        "n": n,
-        "alpha": alpha,
-        "seed": cell_seed,
-        "u": best.objective,
-        "u1": best.u1,
-        "u2": best.u2,
-        "indices": list(best.indices),
-        "feature_ids": [matrix.feature_ids[i] for i in best.indices],
-    }
-    ingest.write_json(cell_dir / "selection.json", sel_payload)
-    trace.to_csv(cell_dir / "trace.csv")
-
-    idx = np.array(best.indices, dtype=np.int64)
-    if config.cluster_mode == "ratios":
-        labels = ratio_labels
-        profiles = context.ratios[idx].T
-    else:
-        labels = _sample_labels(meta, matrix.sample_ids)
-        profiles = matrix.values[idx].T
-    entry = _cluster_outputs(cell_dir, labels, profiles, config, f"n={n}, alpha={_alpha_token(alpha)}")
-    entry.update(
-        n=n, alpha=alpha, seed=cell_seed,
-        u=best.objective, u1=best.u1, u2=best.u2,
-        selection="selection.json", trace="trace.csv", directory=cell_name,
-    )
-
-    if scatter is not None:
-        compound, rec1, rec2 = scatter
-        mask = np.zeros(matrix.n_features, dtype=bool)
-        mask[idx] = True
-        svg = render.scatter_svg(
-            matrix.values[:, matrix.sample_index(rec1.sample_id)],
-            matrix.values[:, matrix.sample_index(rec2.sample_id)],
-            mask,
-            f"{compound}_{rec1.replicate} level",
-            f"{compound}_{rec2.replicate} level",
-            f"{compound}: selected features, n={n}, alpha={_alpha_token(alpha)}",
-        )
-        _write_text(cell_dir / "scatter.svg", svg)
-        entry["scatter"] = "scatter.svg"
-
-    key = f"n={n},alpha={_alpha_token(alpha)}"
-    return key, entry, time.perf_counter() - started
 
 
 def run_pipeline(config: RunConfig) -> int:
@@ -379,7 +274,7 @@ def run_pipeline(config: RunConfig) -> int:
         if max(config.n) > context.n_features:
             raise ParameterError(f"n = {max(config.n)} exceeds the {context.n_features} available features")
         if config.format in ("svg", "all"):
-            scatter = _scatter_columns(matrix, meta, config.scatter_compound)
+            scatter = _scatter_columns(meta, config.scatter_compound)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     for message in report.warnings:
@@ -387,7 +282,80 @@ def run_pipeline(config: RunConfig) -> int:
     for sample_id, value, count in report.zero_replacements:
         log.info("replaced %d zero(s) in column %s with %.6g", count, sample_id, value)
 
-    ratio_labels = _sample_labels(meta, ratio_matrix.treated_ids)
+    # the clustered samples, resolved once: their profiles as a features x
+    # samples table, their leaf labels, and the compound of each treated leaf
+    if config.cluster_mode == "ratios":
+        sample_ids, table = ratio_matrix.treated_ids, ratio_matrix.ratios
+    else:
+        sample_ids, table = matrix.sample_ids, matrix.values
+    labels = _sample_labels(meta, sample_ids)
+    compounds = {
+        label: rec.compound
+        for label, rec in zip(labels, map(meta.record, sample_ids))
+        if rec.role == ROLE_TREATED and rec.compound
+    }
+    want = (config.format,) if config.format != "all" else ("newick", "json", "svg")
+
+    def cluster_outputs(cell_dir: Path, profiles, title: str) -> dict:
+        dis = clustering.dissimilarity(labels, profiles)
+        ingest.write_table(cell_dir / "dissimilarity.tsv", "label", dis.labels, dis.labels, dis.d)
+        dend = clustering.average_linkage(dis)
+        entry: dict = {"dissimilarity": "dissimilarity.tsv", "dendrogram": {}}
+        if "newick" in want:
+            _write_text(cell_dir / "dendrogram.nwk", clustering.to_newick(dend) + "\n")
+            entry["dendrogram"]["newick"] = "dendrogram.nwk"
+        if "json" in want:
+            ingest.write_json(cell_dir / "dendrogram.json", clustering.to_merge_dict(dend))
+            entry["dendrogram"]["json"] = "dendrogram.json"
+        if "svg" in want:
+            _write_text(cell_dir / "dendrogram.svg", render.dendrogram_svg(dend, title))
+            entry["dendrogram"]["svg"] = "dendrogram.svg"
+        if config.cut_k is not None:
+            k = min(config.cut_k, dend.n_leaves)
+            _write_text(cell_dir / f"groups_k{k}.txt", report_groups(dend, k, compounds))
+            entry["groups"] = clustering.cut(dend, k)
+            entry["groups_file"] = f"groups_k{k}.txt"
+        return entry
+
+    def run_cell(cell_index: int, n: int, alpha: float) -> tuple[str, dict, float]:
+        started = time.perf_counter()
+        cell_seed = derive_cell_seed(config.seed, cell_index)
+        schedule = replace(config.schedule, seed=cell_seed)
+        params = ObjectiveParams(alpha=alpha, n=n, weights=weights)
+        best, trace = run(context, params, schedule, return_final=config.return_final)
+
+        alpha_token = _alpha_token(alpha)
+        tag = f"n={n}, alpha={alpha_token}"
+        cell_name = f"n{n}_alpha{alpha_token}"
+        cell_dir = out_root / cell_name
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        scores = {"n": n, "alpha": alpha, "seed": cell_seed, "u": best.objective, "u1": best.u1, "u2": best.u2}
+        ingest.write_json(cell_dir / "selection.json", {
+            **scores,
+            "indices": list(best.indices),
+            "feature_ids": [matrix.feature_ids[i] for i in best.indices],
+        })
+        trace.to_csv(cell_dir / "trace.csv")
+
+        idx = np.array(best.indices, dtype=np.int64)
+        entry = cluster_outputs(cell_dir, table[idx].T, tag)
+        entry.update(scores, selection="selection.json", trace="trace.csv", directory=cell_name)
+        if scatter is not None:
+            compound, rec1, rec2 = scatter
+            mask = np.zeros(matrix.n_features, dtype=bool)
+            mask[idx] = True
+            svg = render.scatter_svg(
+                matrix.values[:, matrix.sample_index(rec1.sample_id)],
+                matrix.values[:, matrix.sample_index(rec2.sample_id)],
+                mask,
+                f"{compound}_{rec1.replicate} level",
+                f"{compound}_{rec2.replicate} level",
+                f"{compound}: selected features, {tag}",
+            )
+            _write_text(cell_dir / "scatter.svg", svg)
+            entry["scatter"] = "scatter.svg"
+        return f"n={n},alpha={alpha_token}", entry, time.perf_counter() - started
+
     summary: dict = {
         "features": matrix.n_features,
         "samples": matrix.n_samples,
@@ -401,27 +369,14 @@ def run_pipeline(config: RunConfig) -> int:
     if config.cluster_all_features:
         cell_dir = out_root / "all_features"
         cell_dir.mkdir(parents=True, exist_ok=True)
-        if config.cluster_mode == "ratios":
-            labels, profiles = ratio_labels, ratio_matrix.ratios.T
-        else:
-            labels, profiles = _sample_labels(meta, matrix.sample_ids), matrix.values.T
-        entry = _cluster_outputs(
-            cell_dir, labels, profiles, config, f"all features ({config.cluster_mode})"
-        )
-        entry["directory"] = "all_features"
-        entry["mode"] = config.cluster_mode
+        entry = cluster_outputs(cell_dir, table.T, f"all features ({config.cluster_mode})")
+        entry.update(directory="all_features", mode=config.cluster_mode)
         summary["all_features"] = entry
         timings["cells"]["all_features"] = time.perf_counter() - total_start
     else:
         cells = list(product(config.n, config.alpha))
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [
-                pool.submit(
-                    _run_cell, i, n, alpha, context, matrix, meta,
-                    ratio_labels, weights, config, out_root, scatter,
-                )
-                for i, (n, alpha) in enumerate(cells)
-            ]
+            futures = [pool.submit(run_cell, i, n, alpha) for i, (n, alpha) in enumerate(cells)]
             for future in futures:
                 key, entry, elapsed = future.result()
                 summary["cells"][key] = entry
@@ -500,9 +455,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return run_pipeline(resolve_config(args))
-        if args.command == "synth":
-            return _cmd_synth(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_synth(args)
     except ParameterError as exc:
         log.error("parameter error: %s", exc)
         return EXIT_PARAMETER
@@ -515,7 +468,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         log.error("numerical error: %s", exc)
         return EXIT_NUMERICAL
-    return EXIT_PARAMETER
 
 
 if __name__ == "__main__":

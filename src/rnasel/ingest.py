@@ -3,8 +3,8 @@
 Formats (UTF-8, '.' decimal separator, scientific notation accepted):
 
 * matrix: header ``feature_id`` then sample ids; one row per feature with
-  one numeric field per sample; tab- or comma-separated by extension or
-  explicit format.
+  one numeric field per sample; comma-separated for a ``.csv`` extension,
+  tab-separated otherwise.
 * metadata: columns sample_id, role (control|treated), compound, replicate,
   control_id, header required, any column order.
 * weights: columns sample_a, sample_b, weight (-1|0|1); pairs not listed
@@ -54,30 +54,23 @@ class IngestReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _delimiter(path, fmt: str | None) -> str:
-    if fmt is None:
-        fmt = "csv" if Path(path).suffix.lower() == ".csv" else "tsv"
-    if fmt == "tsv":
-        return "\t"
-    if fmt == "csv":
-        return ","
-    raise ValidationError(f"unknown format {fmt!r}, expected 'tsv' or 'csv'")
+def _delimiter(path) -> str:
+    return "," if Path(path).suffix.lower() == ".csv" else "\t"
 
 
-def _rows(path, fmt: str | None):
+def _rows(path):
     """Yield ``(line, cells)`` for each row that is not blank; ``line`` is the physical
     line the row ends on, so blank lines count. Cells keep their whitespace."""
-    delim = _delimiter(path, fmt)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delim)
+        reader = csv.reader(fh, delimiter=_delimiter(path))
         for row in reader:
             if "".join(row).strip():
                 yield reader.line_num, row
 
 
-def _open_rows(path, fmt: str | None, what: str):
+def _open_rows(path, what: str):
     """``(rows after the header, header line, stripped header cells)`` of a file."""
-    rows = _rows(path, fmt)
+    rows = _rows(path)
     first = next(rows, None)
     if first is None:
         raise ValidationError(f"{path}: empty {what} file")
@@ -95,10 +88,10 @@ def _check_level(token: str, path, line: int, column_id: str) -> None:
         raise ValidationError(f"{path}:{line}: negative value {token!r} in column {column_id!r}")
 
 
-def _raise_for_row(path, fmt: str | None, index: int, sample_ids) -> None:
+def _raise_for_row(path, index: int, sample_ids) -> None:
     """Re-read data row ``index`` (0-based) of a matrix file and raise for its
     first offending cell, which names the original token."""
-    rows, _, _ = _open_rows(path, fmt, "matrix")
+    rows, _, _ = _open_rows(path, "matrix")
     line, row = next(itertools.islice(rows, index, None))
     for tok, sample_id in zip(row[1:], sample_ids):
         _check_level(tok.strip(), path, line, sample_id)
@@ -192,12 +185,12 @@ def _parse_compiled(path, delim: str):
     return sample_ids, feature_ids, values
 
 
-def _parse_python(path, fmt: str | None):
+def _parse_python(path):
     """``(sample ids, feature ids, values)`` of a matrix file, parsed with
     ``csv.reader`` and ``float()``; raises for the first offending cell in
     file order. Before raising for a row it cannot parse, the rows read so far
     are checked as one block."""
-    rows, line, header = _open_rows(path, fmt, "matrix")
+    rows, line, header = _open_rows(path, "matrix")
     if header[0] != "feature_id":
         raise ValidationError(f"{path}:{line}: first header field must be 'feature_id', got {header[0]!r}")
     sample_ids = header[1:]
@@ -212,7 +205,7 @@ def _parse_python(path, fmt: str | None):
         block = np.frombuffer(levels, np.float64, len(feature_ids) * width).reshape(-1, width)
         bad = np.flatnonzero(~(np.isfinite(block) & (block >= 0)).all(axis=1))
         if bad.size:
-            _raise_for_row(path, fmt, int(bad[0]), sample_ids)
+            _raise_for_row(path, int(bad[0]), sample_ids)
         return block
 
     for line, row in rows:
@@ -225,12 +218,12 @@ def _parse_python(path, fmt: str | None):
             levels.extend(map(float, row[1:]))
         except ValueError:
             check_rows_read()
-            _raise_for_row(path, fmt, len(feature_ids), sample_ids)
+            _raise_for_row(path, len(feature_ids), sample_ids)
         feature_ids.append(row[0].strip())
     return sample_ids, feature_ids, check_rows_read()
 
 
-def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestReport]:
+def load_matrix(path) -> tuple[ExpressionMatrix, IngestReport]:
     """Parse and validate an expression matrix file.
 
     A well-formed file (see ``_parse_compiled``) is parsed in the C library
@@ -242,7 +235,7 @@ def load_matrix(path, fmt: str | None = None) -> tuple[ExpressionMatrix, IngestR
     and break correlation) and listed in the report. An error names the first
     offending cell in file order.
     """
-    sample_ids, feature_ids, values = _parse_compiled(path, _delimiter(path, fmt)) or _parse_python(path, fmt)
+    sample_ids, feature_ids, values = _parse_compiled(path, _delimiter(path)) or _parse_python(path)
     keep = values.any(axis=1)
     report = IngestReport()
     if not keep.all():
@@ -265,9 +258,9 @@ def _header_map(header: list[str], required: tuple[str, ...], path, line: int) -
     return {name: header.index(name) for name in required}
 
 
-def load_meta(path, fmt: str | None = None) -> SampleMeta:
+def load_meta(path) -> SampleMeta:
     """Parse sample metadata; id consistency with a matrix is checked at pairing time."""
-    rows, line, header = _open_rows(path, fmt, "metadata")
+    rows, line, header = _open_rows(path, "metadata")
     cols = _header_map(header, _META_COLUMNS, path, line)
     records = []
     for line_no, row in rows:
@@ -295,10 +288,10 @@ def load_meta(path, fmt: str | None = None) -> SampleMeta:
 _WEIGHTS = {"-1": -1, "0": 0, "1": 1}
 
 
-def load_weights(path, fmt: str | None = None) -> list[tuple[str, str, int]]:
+def load_weights(path) -> list[tuple[str, str, int]]:
     """Parse explicit pair-weight entries; completion against the treated set
     and defaulting of unlisted pairs happen in PairWeights.from_entries."""
-    rows, line, header = _open_rows(path, fmt, "weights")
+    rows, line, header = _open_rows(path, "weights")
     cols = _header_map(header, _WEIGHT_COLUMNS, path, line)
     a_col, b_col, weight_col = (cols[name] for name in _WEIGHT_COLUMNS)
     entries = []
@@ -423,26 +416,24 @@ def write_table(path, corner: str, column_ids, row_ids, values: np.ndarray, deli
                 fh.write(text)
 
 
-def write_matrix(matrix: ExpressionMatrix, path, fmt: str | None = None) -> None:
-    write_table(path, "feature_id", matrix.sample_ids, matrix.feature_ids, matrix.values, _delimiter(path, fmt))
+def write_matrix(matrix: ExpressionMatrix, path) -> None:
+    write_table(path, "feature_id", matrix.sample_ids, matrix.feature_ids, matrix.values, _delimiter(path))
 
 
-def write_meta(meta: SampleMeta, path, fmt: str | None = None) -> None:
-    delim = _delimiter(path, fmt)
+def _write_records(path, columns, rows) -> None:
+    """Write a header of ``columns`` and one line per row of strings, delimited by extension."""
+    delim = _delimiter(path)
     with replacing(path) as fh:
-        fh.write(delim.join(_META_COLUMNS) + "\n")
-        for rec in meta.samples:
-            fh.write(
-                delim.join(
-                    (rec.sample_id, rec.role, rec.compound, str(rec.replicate), rec.control_id)
-                )
-                + "\n"
-            )
+        fh.write(delim.join(columns) + "\n")
+        for row in rows:
+            fh.write(delim.join(row) + "\n")
 
 
-def write_weights(weights: PairWeights, path, fmt: str | None = None) -> None:
-    delim = _delimiter(path, fmt)
-    with replacing(path) as fh:
-        fh.write(delim.join(_WEIGHT_COLUMNS) + "\n")
-        for (a, b) in sorted(weights.weights):
-            fh.write(delim.join((a, b, str(weights.weights[(a, b)]))) + "\n")
+def write_meta(meta: SampleMeta, path) -> None:
+    _write_records(path, _META_COLUMNS, (
+        (rec.sample_id, rec.role, rec.compound, str(rec.replicate), rec.control_id) for rec in meta.samples
+    ))
+
+
+def write_weights(weights: PairWeights, path) -> None:
+    _write_records(path, _WEIGHT_COLUMNS, ((a, b, str(w)) for (a, b), w in sorted(weights.weights.items())))

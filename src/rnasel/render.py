@@ -20,6 +20,14 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _text(attrs: str, content: str) -> str:
+    """A ``<text>`` element; every text node is written here, escaped, so a
+    label may hold ``&`` or ``<``. (``xml.sax.saxutils.escape`` would import
+    ``urllib.request``, several MB, for three replacements.)"""
+    escaped = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<text {attrs}>{escaped}</text>"
+
+
 def dendrogram_svg(dend: Dendrogram, title: str = "") -> str:
     """Vertical dendrogram, y axis = dissimilarity, leaves along the bottom."""
     s = dend.n_leaves
@@ -42,9 +50,7 @@ def dendrogram_svg(dend: Dendrogram, title: str = "") -> str:
         f'<rect width="100%" height="100%" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_f(width / 2)}" y="18" text-anchor="middle" font-size="13" {_FONT}>{title}</text>'
-        )
+        parts.append(_text(f'x="{_f(width / 2)}" y="18" text-anchor="middle" font-size="13" {_FONT}', title))
     # y axis with 5 ticks
     parts.append(
         f'<line x1="{_f(left)}" y1="{_f(top)}" x2="{_f(left)}" y2="{_f(bottom)}" stroke="black" stroke-width="1"/>'
@@ -53,13 +59,11 @@ def dendrogram_svg(dend: Dendrogram, title: str = "") -> str:
         tick = ymax * k / 4
         y = ypos(tick)
         parts.append(f'<line x1="{_f(left - 4)}" y1="{_f(y)}" x2="{_f(left)}" y2="{_f(y)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_f(left - 7)}" y="{_f(y + 3.5)}" text-anchor="end" font-size="10" {_FONT}>{tick:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="14" y="{_f((top + bottom) / 2)}" text-anchor="middle" font-size="11" {_FONT} '
-        f'transform="rotate(-90 14 {_f((top + bottom) / 2)})">dissimilarity</text>'
-    )
+        parts.append(_text(f'x="{_f(left - 7)}" y="{_f(y + 3.5)}" text-anchor="end" font-size="10" {_FONT}', f"{tick:.3g}"))
+    parts.append(_text(
+        f'x="14" y="{_f((top + bottom) / 2)}" text-anchor="middle" font-size="11" {_FONT} '
+        f'transform="rotate(-90 14 {_f((top + bottom) / 2)})"', "dissimilarity"
+    ))
     # links, drawn merge by merge
     node_x = dict(xpos)
     for m, (lnode, rnode, h) in enumerate(dend.merges):
@@ -74,10 +78,10 @@ def dendrogram_svg(dend: Dendrogram, title: str = "") -> str:
     for leaf in order:
         x = xpos[leaf]
         y = bottom + 12
-        parts.append(
-            f'<text x="{_f(x)}" y="{_f(y)}" text-anchor="end" font-size="10" {_FONT} '
-            f'transform="rotate(-60 {_f(x)} {_f(y)})">{dend.leaves[leaf]}</text>'
-        )
+        parts.append(_text(
+            f'x="{_f(x)}" y="{_f(y)}" text-anchor="end" font-size="10" {_FONT} '
+            f'transform="rotate(-60 {_f(x)} {_f(y)})"', dend.leaves[leaf]
+        ))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -119,24 +123,18 @@ def scatter_svg(
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     if title:
-        parts.append(f'<text x="{_f(left + size / 2)}" y="18" text-anchor="middle" font-size="13" {_FONT}>{title}</text>')
+        parts.append(_text(f'x="{_f(left + size / 2)}" y="18" text-anchor="middle" font-size="13" {_FONT}', title))
     parts.append(
         f'<rect x="{_f(left)}" y="{_f(top)}" width="{_f(size)}" height="{_f(size)}" fill="none" stroke="black"/>'
     )
     for decade in range(math.ceil(lo), math.floor(hi) + 1):
-        parts.append(
-            f'<text x="{_f(px(decade))}" y="{_f(top + size + 14)}" text-anchor="middle" font-size="9" {_FONT}>1e{decade}</text>'
-        )
-        parts.append(
-            f'<text x="{_f(left - 6)}" y="{_f(py(decade) + 3)}" text-anchor="end" font-size="9" {_FONT}>1e{decade}</text>'
-        )
-    parts.append(
-        f'<text x="{_f(left + size / 2)}" y="{_f(top + size + 34)}" text-anchor="middle" font-size="11" {_FONT}>{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_f(top + size / 2)}" text-anchor="middle" font-size="11" {_FONT} '
-        f'transform="rotate(-90 16 {_f(top + size / 2)})">{y_label}</text>'
-    )
+        parts.append(_text(f'x="{_f(px(decade))}" y="{_f(top + size + 14)}" text-anchor="middle" font-size="9" {_FONT}', f"1e{decade}"))
+        parts.append(_text(f'x="{_f(left - 6)}" y="{_f(py(decade) + 3)}" text-anchor="end" font-size="9" {_FONT}', f"1e{decade}"))
+    parts.append(_text(f'x="{_f(left + size / 2)}" y="{_f(top + size + 34)}" text-anchor="middle" font-size="11" {_FONT}', x_label))
+    parts.append(_text(
+        f'x="16" y="{_f(top + size / 2)}" text-anchor="middle" font-size="11" {_FONT} '
+        f'transform="rotate(-90 16 {_f(top + size / 2)})"', y_label
+    ))
     # px and py over every point at once: the same operations in the same order
     cx = left + (lx - lo) / span * size
     cy = top + size - (ly - lo) / span * size
@@ -145,9 +143,9 @@ def scatter_svg(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" {style}/>'
             for x, y in zip(cx[points].tolist(), cy[points].tolist())
         )
-    parts.append(
-        f'<text x="{_f(left + size - 4)}" y="{_f(top + 14)}" text-anchor="end" font-size="10" {_FONT}>'
-        f'selected: {int(sel.sum())} / {sel.size}</text>'
-    )
+    parts.append(_text(
+        f'x="{_f(left + size - 4)}" y="{_f(top + 14)}" text-anchor="end" font-size="10" {_FONT}',
+        f"selected: {int(sel.sum())} / {sel.size}",
+    ))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -148,9 +148,9 @@ def generate(spec: SynthSpec) -> tuple[ExpressionMatrix, SampleMeta, GroundTruth
     return matrix, meta, truth
 
 
-def write_dataset(out_dir, matrix: ExpressionMatrix, meta: SampleMeta, truth: GroundTruth,
-                  default_weight: int = 1) -> dict[str, Path]:
-    """Emit matrix/meta/weights files in the ingest formats plus a truth sidecar."""
+def write_dataset(out_dir, matrix: ExpressionMatrix, meta: SampleMeta, truth: GroundTruth) -> dict[str, Path]:
+    """Emit matrix/meta/weights files in the ingest formats plus a truth sidecar;
+    the weights file lists every treated pair with weight 1."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -161,7 +161,6 @@ def write_dataset(out_dir, matrix: ExpressionMatrix, meta: SampleMeta, truth: Gr
     }
     ingest.write_matrix(matrix, paths["matrix"])
     ingest.write_meta(meta, paths["meta"])
-    treated = meta.treated_ids()
-    ingest.write_weights(PairWeights.from_entries(treated, default=default_weight), paths["weights"])
+    ingest.write_weights(PairWeights.from_entries(meta.treated_ids(), default=1), paths["weights"])
     ingest.write_json(paths["truth"], truth.to_dict())
     return paths

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ OPTION_SAMPLES = {
 }
 
 
+def test_svgs_parse_when_labels_hold_markup(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main([
+        "synth", "--out-dir", str(data), "--groups", "G1:a&b,c<d;G2:e,f",
+        "--features", "40", "--informative", "8", "--seed", "2",
+    ]) == 0
+    assert main(run_args(data, out, "--n", "6", "--format", "svg", "--scatter-compound", "a&b")) == 0
+    texts = {
+        name: {node.text for node in ElementTree.parse(out / "n6_alpha0.2" / name).iter("{http://www.w3.org/2000/svg}text")}
+        for name in ("dendrogram.svg", "scatter.svg")
+    }
+    assert {"a&b_1", "a&b_2", "c<d_1", "c<d_2"} <= texts["dendrogram.svg"]
+    assert {"a&b_1 level", "a&b_2 level"} <= texts["scatter.svg"]
+    assert any(text.startswith("a&b: selected features") for text in texts["scatter.svg"])
+
+
 def resolve(tmp_path, argv=(), lines=""):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("matrix = m.tsv\nmeta = meta.tsv\n" + lines, encoding="utf-8")
@@ -375,6 +392,8 @@ class TestExitCodes:
 
 
 class TestReportGroups:
+    COMPOUNDS = {"cmpA_1": "cmpA", "cmpA_2": "cmpA", "cmpB_1": "cmpB", "cmpB_2": "cmpB"}
+
     def _dend(self):
         rng = np.random.default_rng(9)
         labels = ["cmpA_1", "cmpA_2", "cmpB_1", "cmpB_2"]
@@ -387,14 +406,14 @@ class TestReportGroups:
         return average_linkage(dissimilarity(labels, profiles))
 
     def test_single_group_lists_all_compounds(self):
-        text = report_groups(self._dend(), 1)
+        text = report_groups(self._dend(), 1, self.COMPOUNDS)
         assert "group 1: cmpA, cmpB" in text
 
     def test_singletons_keep_replicate_labels(self):
-        text = report_groups(self._dend(), 4)
+        text = report_groups(self._dend(), 4, self.COMPOUNDS)
         assert "cmpA_1" in text and "cmpA_2" in text
 
     def test_two_groups_collapse_replicates(self):
-        text = report_groups(self._dend(), 2)
+        text = report_groups(self._dend(), 2, self.COMPOUNDS)
         assert "group 1: cmpA" in text
         assert "group 2: cmpB" in text

@@ -9,6 +9,9 @@ row) fails here; one that means to change an output updates the hash and
 says so. It runs twice: with the compiled library, which parses the matrix
 and anneals, and without it, when both run in Python; the hashes are the
 same.
+
+The all-feature pass (``--cluster-all-features``) is pinned the same way on
+the same data, once per ``--cluster-mode``.
 """
 
 import hashlib
@@ -59,23 +62,65 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["compiled", "python"])
-def test_quick_start_outputs_are_byte_identical(tmp_path, monkeypatch, backend):
+ALL_FEATURES_GOLDEN = {
+    "levels/all_features/dendrogram.json": "3cff8c948d7012afa970bcede243edac5c1adebe7f3729856684094f0b8342e8",
+    "levels/all_features/dendrogram.nwk": "ba8a053352b5c75b023b246549b8cb8e4dc788f4b7e036593ed9a892e8cb55bd",
+    "levels/all_features/dendrogram.svg": "a431ea78bef89cc009988650a40dc36ed9df406b59f390ea12b95ba58ccb54a7",
+    "levels/all_features/dissimilarity.tsv": "339a33b8858163dfa32a612e8c6ddcd6cd96680841c11b2c48ab197e6c182003",
+    "levels/all_features/groups_k2.txt": "9bbb92cda579a758c4b1da0261ba585f250e9117a02c9683347d7784d727222a",
+    "levels/summary.json": "bd918644dea59cc0849bfd889c58e880f6bf505fc80f288940a6a80b69dd6569",
+    "ratios/all_features/dendrogram.json": "3903ac7cb143673ad4c0de8462d80c8f9ebc29a6e2f5ca58b0c851616b696bb5",
+    "ratios/all_features/dendrogram.nwk": "0af6c0df59414f9b3220f5941de7f6de3c1b4fc5ca619871fe6d7cac2ba5e332",
+    "ratios/all_features/dendrogram.svg": "ae8e9a9013cb7c1a2a31cb3de00a25e05a63b3d8537184f751384dcfa549efb6",
+    "ratios/all_features/dissimilarity.tsv": "b95fad6c2a47b3d2ddf3f80161256e867d99b8efc3e99cbf59ed707392169d56",
+    "ratios/all_features/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
+    "ratios/summary.json": "600c0231faee40af73a549689fb2332c319071fd912a46aeaa030673f525353a",
+}
+
+
+def _use(backend, monkeypatch):
     if backend == "python":
         monkeypatch.setattr(_ckernel, "load", lambda: None)
     elif _ckernel.load() is None:
         pytest.skip("the C library cannot be built here")
-    data, out = tmp_path / "data", tmp_path / "out"
+
+
+def _synth(data):
     assert main(["synth", "--out-dir", str(data), "--features", "60", "--informative", "10", "--seed", "7"]) == 0
-    assert main([
-        "run", "--matrix", str(data / "matrix.tsv"), "--meta", str(data / "meta.tsv"),
-        "--weights", str(data / "weights.tsv"), "--n", "8", "--n", "4", "--alpha", "0.0", "--alpha", "0.2",
-        "--gamma", "0.9", "--t-final", "1e-1", "--swaps-per-temp", "5", "--seed", "1",
-        "--cut-k", "2", "--format", "all", "--out-dir", str(out),
-    ]) == 0
-    written = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*"))
+    return ["--matrix", str(data / "matrix.tsv"), "--meta", str(data / "meta.tsv"), "--weights", str(data / "weights.tsv")]
+
+
+def _written(root, under=""):
+    """sha256 of every file below ``root / under`` but ``timings.json``, by path from ``root``."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((root / under).rglob("*"))
         if path.is_file() and path.name != "timings.json"
     }
-    assert written == GOLDEN
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_quick_start_outputs_are_byte_identical(tmp_path, monkeypatch, backend):
+    _use(backend, monkeypatch)
+    inputs = _synth(tmp_path / "data")
+    assert main([
+        "run", *inputs, "--n", "8", "--n", "4", "--alpha", "0.0", "--alpha", "0.2",
+        "--gamma", "0.9", "--t-final", "1e-1", "--swaps-per-temp", "5", "--seed", "1",
+        "--cut-k", "2", "--format", "all", "--out-dir", str(tmp_path / "out"),
+    ]) == 0
+    assert _written(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_all_feature_outputs_are_byte_identical(tmp_path, monkeypatch, backend):
+    _use(backend, monkeypatch)
+    inputs = _synth(tmp_path / "data")
+    for mode in ("ratios", "levels"):
+        assert main([
+            "run", *inputs, "--cluster-all-features", "--cluster-mode", mode,
+            "--cut-k", "2", "--format", "all", "--out-dir", str(tmp_path / mode),
+        ]) == 0
+    assert {**_written(tmp_path, "ratios"), **_written(tmp_path, "levels")} == ALL_FEATURES_GOLDEN
+    # controls are no compound: the levels cut lists them by sample id
+    groups = (tmp_path / "levels/all_features/groups_k2.txt").read_text(encoding="utf-8")
+    assert "control_1" in groups and "control_2" in groups

@@ -402,7 +402,7 @@ def assert_paths_agree(path, monkeypatch, compiled: bool):
     """The C and Python paths give the same outcome; ``compiled`` says
     whether the C path takes the file."""
     compiled_library()
-    took = ingest._parse_compiled(path, ingest._delimiter(path, None)) is not None
+    took = ingest._parse_compiled(path, ingest._delimiter(path)) is not None
     fast = load_outcome(path)
     with monkeypatch.context() as patch:
         patch.setattr(_ckernel, "load", lambda: None)
