@@ -1,9 +1,12 @@
 /* The compiled part of rnasel: one annealing chain of Metropolis swap moves
  * (the C twin of rnasel._kernels.anneal_chain), the row parser that
- * rnasel.ingest.load_matrix uses for well-formed matrix files, and the row
- * writer that rnasel.ingest.write_table uses for its "%.17g" numbers. The
- * parser and the writer share the table of powers of five that
- * rnasel._ckernel.powers_of_five builds, and the 64 x 64 -> 128-bit multiply.
+ * rnasel.ingest.load_matrix uses for well-formed matrix files, the row
+ * writer that rnasel.ingest.write_table uses for its "%.17g" numbers, and
+ * the trace writer that rnasel.annealer.AnnealTrace.to_csv uses for the
+ * repr of its floats. The parser and the writers share the table of powers
+ * of five that rnasel._ckernel.powers_of_five builds, and the 64 x 64 ->
+ * 128-bit multiply; the trace writer reads its digits back with the parser's
+ * converter.
  *
  * Every floating-point operation of the chain is written in the order of the
  * Python reference, and the library is built with -ffp-contract=off and
@@ -17,6 +20,15 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* For the helpers that the parser's and the writers' inner loops share. GCC
+ * inlines a large static function of one caller but not of several: once the
+ * trace writer called eisel_lemire too, the parser ran about 10% slower. */
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
 
 /* numpy/random/bitgen.h */
 typedef struct {
@@ -254,7 +266,7 @@ static int64_t floor_log2_pow10(int64_t q)
  * leaves *value alone where it does not apply: more than 19 significant
  * digits, q outside the table, a subnormal or infinite result, or the rare
  * product that cannot decide the rounding. */
-static int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
+static ALWAYS_INLINE int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
 {
     const uint64_t *p5;
     uint64_t w = d->w, high, low, high2, low2, mantissa, bits;
@@ -398,58 +410,66 @@ static void write_8_digits(uint32_t v, char *out)
     memcpy(out + 6, digit_pairs + 2 * (low % 100), 2);
 }
 
-/* Write x as Python's "%.17g" % x writes it, to out (at least FORMAT_BYTES
- * bytes); returns the bytes written. The 17 digits are round(|x| * 10^(16 - k))
- * with k = floor(log10 |x|), from one product with the table in place of the
- * big-number arithmetic of Steele & White ("How to Print Floating-Point
- * Numbers Accurately", 1990), as in Adams ("Ryu revisited: printf floating
- * point conversion", 2019). snprintf writes what the product cannot decide: a
- * fraction within 2 units of one half (every exact tie among them), a
- * subnormal, and |x| < 1e-292, where 16 - k is past the table. Python writes
- * every NaN as "nan". */
-static int format_g17(double x, const uint64_t *pow5, char *out)
+/* |x| = (digits + fraction) * 10^(k - 16) for a normal x with k = floor(log10
+ * |x|): digits in [10^16, 10^17) and the fraction below it are those of
+ * scale_by_pow10 with q = 16 - k. */
+typedef struct {
+    uint64_t digits, fraction, low;
+    int fraction_bits;
+    int64_t k;
+} scaled_t;
+
+/* Scale x into *s; returns 0 for zero, a subnormal, inf, NaN, and |x| under
+ * 2^-970 (about 1.002e-292), where 16 - k may be past the table. */
+static ALWAYS_INLINE int scale_to_17_digits(double x, const uint64_t *pow5, scaled_t *s)
 {
-    static const uint64_t ten16 = 10000000000000000u, ten17 = 100000000000000000u;
-    uint64_t bits, m, digits, fraction, low, half;
+    uint64_t bits, m;
     int64_t e, k, q;
-    int n = 0, fraction_bits, last, i;
-    char d[17], fallback[32];
     memcpy(&bits, &x, sizeof bits);
-    if (x != x) {
-        memcpy(out, "nan", 3);
-        return 3;
-    }
-    if (bits >> 63)
-        out[n++] = '-';
     e = (int64_t)(bits >> 52 & 0x7FF);
-    if (e == 0x7FF) {
-        memcpy(out + n, "inf", 3);
-        return n + 3;
-    }
-    if (x == 0) {
-        out[n] = '0';
-        return n + 1;
-    }
-    if (e == 0)
-        goto slow;
+    if (e == 0 || e == 0x7FF)
+        return 0;
     m = (bits & (((uint64_t)1 << 52) - 1)) | (uint64_t)1 << 52;
     e -= 1075;
     /* floor(log10(2^(e + 52))): k itself, or one too low */
     k = floor_shift((e + 52) * 78913, 18);
     q = 16 - k;
     if (q > POW5_MAX_Q)
-        goto slow;
-    digits = scale_by_pow10(m, e, q, pow5, &fraction, &low, &fraction_bits);
-    if (digits >= ten17) {
+        return 0;
+    s->digits = scale_by_pow10(m, e, q, pow5, &s->fraction, &s->low, &s->fraction_bits);
+    if (s->digits >= 100000000000000000u) {
         k++;
-        q--;
-        digits = scale_by_pow10(m, e, q, pow5, &fraction, &low, &fraction_bits);
+        s->digits = scale_by_pow10(m, e, q - 1, pow5, &s->fraction, &s->low, &s->fraction_bits);
     }
-    half = (uint64_t)1 << (fraction_bits - 1);
-    if ((fraction == half && low <= 2) || (fraction == half - 1 && low >= UINT64_MAX - 1))
-        goto slow;
-    digits += fraction >= half;
-    if (digits == ten17) { /* rounding carried into an 18th digit */
+    s->k = k;
+    return 1;
+}
+
+/* The scaled number over unit (1, 10 or 100), rounded to the nearest integer:
+ * the 17, 16 or 15 correctly rounded significant digits of |x|, to *rounded.
+ * Returns 0 where the product cannot decide the rounding: within 2 units of
+ * its last place of a tie, which takes in every exact tie. */
+static ALWAYS_INLINE int round_digits(const scaled_t *s, uint64_t unit, uint64_t *rounded)
+{
+    uint64_t rest = (s->digits % unit) << s->fraction_bits | s->fraction;
+    uint64_t tie = unit << (s->fraction_bits - 1);
+    if ((rest == tie && s->low <= 2) || (rest == tie - 1 && s->low >= UINT64_MAX - 1))
+        return 0;
+    *rounded = s->digits / unit + (rest >= tie);
+    return 1;
+}
+
+/* Write digits * 10^(k - 16), for digits in [10^16, 10^17], without its
+ * trailing zeros, to out; returns the bytes written. The layout is that of
+ * Python's "%.17g" (the exponent form for k < -4 or k >= 17) or, with repr
+ * set, that of repr (the exponent form for k < -4 or k >= 16, and ".0" after
+ * an integral number in fixed form). */
+static ALWAYS_INLINE int write_decimal(uint64_t digits, int64_t k, int repr, char *out)
+{
+    static const uint64_t ten16 = 10000000000000000u;
+    int n = 0, last;
+    char d[17];
+    if (digits == 10 * ten16) { /* rounding carried into an 18th digit */
         digits = ten16;
         k++;
     }
@@ -459,7 +479,7 @@ static int format_g17(double x, const uint64_t *pow5, char *out)
     write_8_digits((uint32_t)(digits % 100000000u), d + 9);
     for (last = 16; d[last] == '0'; last--)
         ;
-    if (k < -4 || k >= 17) { /* d.ddde+XX */
+    if (k < -4 || k >= 17 - repr) { /* d.ddde+XX */
         out[n++] = d[0];
         if (last > 0) {
             out[n++] = '.';
@@ -486,13 +506,49 @@ static int format_g17(double x, const uint64_t *pow5, char *out)
             out[n++] = '.';
             memcpy(out + n, d + k + 1, (size_t)(last - k));
             n += (int)(last - k);
+        } else if (repr) {
+            memcpy(out + n, ".0", 2);
+            n += 2;
         }
     }
     return n;
-slow:
-    i = snprintf(fallback, sizeof fallback, "%.17g", x);
-    memcpy(out, fallback, (size_t)i);
-    return i;
+}
+
+/* Write x as Python's "%.17g" % x writes it, to out (at least FORMAT_BYTES
+ * bytes); returns the bytes written. The 17 digits are round(|x| * 10^(16 - k))
+ * with k = floor(log10 |x|), from one product with the table in place of the
+ * big-number arithmetic of Steele & White ("How to Print Floating-Point
+ * Numbers Accurately", 1990), as in Adams ("Ryu revisited: printf floating
+ * point conversion", 2019). snprintf writes what the product cannot decide: a
+ * fraction within 2 units of one half (every exact tie among them), a
+ * subnormal, and |x| < 1e-292, where 16 - k is past the table. Python writes
+ * every NaN as "nan". */
+static int format_g17(double x, const uint64_t *pow5, char *out)
+{
+    uint64_t bits, digits;
+    scaled_t s;
+    int n = 0;
+    char fallback[32];
+    memcpy(&bits, &x, sizeof bits);
+    if (x != x) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        out[n++] = '-';
+    if ((bits >> 52 & 0x7FF) == 0x7FF) {
+        memcpy(out + n, "inf", 3);
+        return n + 3;
+    }
+    if (x == 0) {
+        out[n] = '0';
+        return n + 1;
+    }
+    if (scale_to_17_digits(x, pow5, &s) && round_digits(&s, 1, &digits))
+        return n + write_decimal(digits, s.k, 0, out + n);
+    n = snprintf(fallback, sizeof fallback, "%.17g", x);
+    memcpy(out, fallback, (size_t)n);
+    return n;
 }
 
 /* Write the width numbers at values, each as "<delim>" and then the bytes of
@@ -506,5 +562,96 @@ int64_t rnasel_format_row(const double *values, int64_t width, int delim, const 
         p += format_g17(values[k], pow5, p);
     }
     *p++ = '\n';
+    return p - out;
+}
+
+/* Write x as Python's repr(x) writes it, to out (at least FORMAT_BYTES - 1
+ * bytes); returns the bytes written, or -1 where it cannot tell them. repr's
+ * digits are the shortest that read back to x and, of those, the nearest to x
+ * (Steele & White 1990; Adams, "Ryu: Fast Float-to-String Conversion", 2018).
+ * A decimal of at most 15 significant digits survives a round trip through a
+ * double (DBL_DIG), so when repr needs at most 15 digits they are the
+ * correctly rounded 15, trailing zeros dropped, and these read back to x only
+ * then. Else, when some 16-digit decimal reads back, the nearest one does,
+ * but for a power of two: its lower half-gap is half the upper one, so repr
+ * may take a decimal above x. Else the correctly rounded 17 digits, which
+ * always read back. eisel_lemire does the reading back. Zeros are written
+ * here; -1 comes back for a subnormal, inf, NaN, |x| < 2^-970, a rounding the
+ * product cannot decide, a reading back that eisel_lemire declines, and a
+ * power of two whose nearest 16-digit decimal does not read back. */
+static int format_repr(double x, const uint64_t *pow5, char *out)
+{
+    static const uint64_t units[2] = {100, 10};
+    uint64_t bits, digits;
+    scaled_t s;
+    int n = 0;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        out[n++] = '-';
+    if (x == 0) {
+        memcpy(out + n, "0.0", 3);
+        return n + 3;
+    }
+    if (!scale_to_17_digits(x, pow5, &s))
+        return -1;
+    for (int i = 0; i < 2; i++) {
+        decimal_t d = {0, s.k - 14 - i, 0, 1}; /* 15 + i digits: w * 10^(k - 14 - i) */
+        double back;
+        if (!round_digits(&s, units[i], &d.w) || !eisel_lemire(&d, pow5, &back))
+            return -1;
+        if (back == fabs(x))
+            return n + write_decimal(d.w * units[i], s.k, 1, out + n);
+    }
+    if ((bits & (((uint64_t)1 << 52) - 1)) == 0 || !round_digits(&s, 1, &digits))
+        return -1;
+    return n + write_decimal(digits, s.k, 1, out + n);
+}
+
+/* Write v in decimal to out (at least 20 bytes); returns the bytes written. */
+static int write_int(int64_t v, char *out)
+{
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    int n = 0, len = 0;
+    char d[20];
+    if (v < 0)
+        out[n++] = '-';
+    do {
+        d[len++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u != 0);
+    while (len > 0)
+        out[n++] = d[--len];
+    return n;
+}
+
+/* Bytes of the longest trace row: a 20-byte step and count, three numbers of
+ * FORMAT_BYTES - 1 bytes, four commas and "\n". */
+#define TRACE_ROW_BYTES (2 * 20 + 3 * (FORMAT_BYTES - 1) + 5)
+
+/* Write rows of trace.csv, each "step,temperature,current_u,best_u,
+ * accepted_count\n" with steps counted from first_step and each float as
+ * Python's repr writes it, to out (at least TRACE_ROW_BYTES * rows bytes),
+ * using the table pow5. Returns the bytes written, or -1 if format_repr
+ * declines any of the numbers; then none of the block is usable. */
+int64_t rnasel_format_trace(int64_t first_step, int64_t rows, const double *temperature,
+                            const double *current_u, const double *best_u, const int64_t *accepted,
+                            const uint64_t *pow5, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        const double values[3] = {temperature[r], current_u[r], best_u[r]};
+        p += write_int(first_step + r, p);
+        for (int c = 0; c < 3; c++) {
+            int n;
+            *p++ = ',';
+            n = format_repr(values[c], pow5, p);
+            if (n < 0)
+                return -1;
+            p += n;
+        }
+        *p++ = ',';
+        p += write_int(accepted[r], p);
+        *p++ = '\n';
+    }
     return p - out;
 }

@@ -1,6 +1,6 @@
 """The compiled library (``_anneal.c``): build, cache, load and bind.
 
-It holds three things. ``anneal_chain`` runs every temperature step of one
+It holds four things. ``anneal_chain`` runs every temperature step of one
 chain of swap moves in one call, exactly as the Python reference
 ``_kernels.anneal_chain`` does, and gives the same bits: the same
 floating-point operations in the same order, libm's ``exp`` and ``sqrt``,
@@ -16,9 +16,21 @@ result, an exponent outside the table, or a rounding it cannot decide).
 writes the rows of a table for ``ingest.write_table``, each number as the
 bytes of Python's ``"%.17g" % x``: its 17 digits are ``round(|x| * 10**(16 -
 k))``, with ``k = floor(log10(|x|))``, from one product with the same table,
-and ``snprintf`` writes subnormal numbers, those under 1e-292, and those
-whose product lies within 2 units of its last place of a rounding tie.
-ctypes releases the GIL for every call.
+and ``snprintf`` writes subnormal numbers, those under about 1e-292, and
+those whose product lies within 2 units of its last place of a rounding tie.
+``format_trace`` writes the rows of ``trace.csv`` for
+``AnnealTrace.to_csv``, each float as the bytes of ``repr(x)``: the shortest
+digits that read back to x, the nearest to x of those. A decimal of at most
+15 significant digits survives a round trip through a double, so the
+correctly rounded 15 digits, their trailing zeros dropped, are repr's when
+they read back to x (by the same Eisel-Lemire converter); else the
+correctly rounded 16 digits when they read back; else the 17 of
+``format_rows``. It declines a block, which Python then writes, that holds
+a subnormal, an infinity, a NaN, a number under about 1e-292, a rounding
+within 2 units of a tie, a reading back the converter cannot decide, or a
+power of two whose nearest 16-digit decimal does not read back (its lower
+neighbour is nearer than its upper one, so repr may take a decimal above
+it). ctypes releases the GIL for every call.
 
 On first use the source is compiled with the system C compiler and the
 library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
@@ -26,11 +38,12 @@ library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
 a hash of the source, the flags and the machine type. If no compiler is
 found, the build fails, the library will not load, its bounded draw
 disagrees with ``Generator.integers``, its parser converts one of
-``PROBE_NUMBERS`` to other bits than ``float()``, or its writer writes one of
-``PROBE_FLOATS`` unlike ``"%.17g" %`` (a broken branch or table entry, a libc
-that misrounds, or a locale whose decimal point is not '.'), ``load`` warns
-once and returns None, and rnasel anneals, parses and writes tables in
-Python instead: slower, never a different answer.
+``PROBE_NUMBERS`` to other bits than ``float()``, its table writer writes one
+of ``PROBE_FLOATS`` unlike ``"%.17g" %``, or its trace writer writes one of
+``PROBE_REPRS`` unlike ``repr`` (a broken branch or table entry, a libc that
+misrounds, or a locale whose decimal point is not '.'), ``load`` warns once
+and returns None, and rnasel anneals, parses and writes tables and traces
+in Python instead: slower, never a different answer.
 """
 
 from __future__ import annotations
@@ -59,7 +72,7 @@ MAX_BOUND = 2**32
 
 
 class KernelFallbackWarning(RuntimeWarning):
-    """The C library is unavailable; annealing, matrix parsing and table writing run in Python."""
+    """The C library is unavailable; annealing, matrix parsing and table and trace writing run in Python."""
 
 
 class _Unavailable(Exception):
@@ -170,10 +183,27 @@ PROBE_FLOATS = (
 )
 
 
+# Doubles for each branch of the C trace writer, whose digits are repr's:
+# zeros; 15 digits or fewer (0.5, 1.23456789012345), with a sign, with ".0"
+# in fixed form up to 1e15, either side of the fixed layout's ends 1e-4 and
+# 1e16, and rounded up into a 16th digit (1e23 is just under its power of
+# ten); 16 digits, also at a power of two (2**-60); 17 digits, also with
+# 3-digit exponents; and what it declines: the largest double (its 15 digits
+# read back as inf, which the converter leaves), a power of two whose nearest
+# 16-digit decimal does not read back (2**-957), a 16-digit tie, a number
+# under 1e-292, a subnormal, infinities and a NaN.
+PROBE_REPRS = (
+    0.0, -0.0, 0.5, 1.23456789012345, -1.5, 123.0, 1e15, 0.0001, 1e-05, 1e16, 1e23, 2 / 3, 2**-60, 0.30000000000000004,
+    3.3333333333333335e299, -2.3333333333333334e-200, 1.7976931348623157e308, 2**-957, 292584158624471.75,
+    1e-300, 5e-324, math.inf, -math.inf, math.nan,
+)
+
+
 def _probe(lib) -> None:
     """Check the C bounded draw against Generator.integers on a short stream,
-    the C parser against float() on ``PROBE_NUMBERS``, bit for bit, and the C
-    formatter against ``"%.17g" %`` on ``PROBE_FLOATS``, byte for byte."""
+    the C parser against float() on ``PROBE_NUMBERS``, bit for bit, the C
+    formatter against ``"%.17g" %`` on ``PROBE_FLOATS`` and the C trace writer
+    against ``repr`` on each of ``PROBE_REPRS`` it writes, byte for byte."""
     bounds = (1, 2, 3, 7, 10, 1000, 2**31 + 1, 2**32 - 1, 2**32) * 8
     mine, ref = np.random.default_rng(20210105), np.random.default_rng(20210105)
     bitgen = mine.bit_generator.ctypes.bit_generator
@@ -202,6 +232,12 @@ def _probe(lib) -> None:
             raise _Unavailable(f"C formatter wrote {x!r} as {mine.strip()!r}, not {ref.strip()!r}")
     if got != want:
         raise _Unavailable(f"C formatter wrote {got!r}, not {want!r}")
+    for count, x in enumerate(PROBE_REPRS):
+        column = np.array([x])
+        got = next(format_trace(lib, column, column, column, np.array([count])))
+        want = f"0,{x!r},{x!r},{x!r},{count}\n"
+        if got is not None and bytes(got) != want.encode():
+            raise _Unavailable(f"C trace writer wrote {bytes(got).decode('ascii', 'replace')!r}, not {want!r}")
 
 
 def _bind(lib):
@@ -222,6 +258,11 @@ def _bind(lib):
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
     )
     lib.rnasel_format_row.restype = ctypes.c_int64
+    lib.rnasel_format_trace.argtypes = (
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p,
+    )
+    lib.rnasel_format_trace.restype = ctypes.c_int64
     return lib
 
 
@@ -232,8 +273,8 @@ def _load_once():
         _probe(lib)
     except (_Unavailable, OSError, AttributeError, subprocess.TimeoutExpired) as exc:
         warnings.warn(
-            f"C library unavailable ({exc}); annealing, matrix parsing and table writing run the slower"
-            " Python code",
+            f"C library unavailable ({exc}); annealing, matrix parsing and table and trace writing run the"
+            " slower Python code",
             KernelFallbackWarning,
         )
         return None
@@ -258,7 +299,8 @@ def _address(array: np.ndarray, dtype) -> int:
 def anneal_chain(
     state, best_sel: np.ndarray, rng: np.random.Generator, temperatures, swaps: int, cur_u: float
 ):
-    """Every temperature step of one chain in C, as ``_kernels.anneal_chain``.
+    """Every temperature step of one chain in C, as ``_kernels.anneal_chain``;
+    ``temperatures`` is a C-contiguous float64 array.
 
     Updates ``state`` and ``best_sel`` in place and returns the per-step
     arrays (cur_u, best_u, accepted), or None if the kernel is unavailable.
@@ -272,7 +314,6 @@ def anneal_chain(
     f64, i64 = np.float64, np.int64
     g, p = context.n_treated, len(pair.iu)
     scratch = [np.empty(size) for size in (g, g, p, g, g)]  # t_s1, t_s2, t_cp, m, v
-    temperatures = np.array(temperatures, dtype=f64)
     steps = len(temperatures)
     cur_trace, best_trace, accepted_trace = np.empty(steps), np.empty(steps), np.empty(steps, dtype=i64)
     chain = Chain(
@@ -288,7 +329,7 @@ def anneal_chain(
     with rng.bit_generator.lock:
         lib.rnasel_anneal_chain(
             ctypes.byref(chain), rng.bit_generator.ctypes.bit_generator,
-            temperatures.ctypes.data, steps, swaps,
+            _address(temperatures, f64), steps, swaps,
             cur_trace.ctypes.data, best_trace.ctypes.data, accepted_trace.ctypes.data,
         )
     state.norm_sum = chain.norm_sum
@@ -385,3 +426,43 @@ def format_rows(lib, values: np.ndarray, delim: str):
     pow5 = powers_of_five().ctypes.data
     for r in range(rows):
         yield view[:lib.rnasel_format_row(address + 8 * width * r, width, ord(delim), pow5, out_address)]
+
+
+# Rows of trace.csv per rnasel_format_trace call, and the bytes it writes at
+# most per row (TRACE_ROW_BYTES in _anneal.c): a 20-byte step and count,
+# three of the longest repr of a double, "-d.<16 digits>e-ddd", four commas
+# and "\n".
+TRACE_BLOCK = 1000
+TRACE_ROW_BYTES = 2 * 20 + 3 * (FORMAT_BYTES - 1) + 5
+
+
+def format_trace(lib, temperature, current_u, best_u, accepted):
+    """Yield the rows of ``trace.csv`` written in C, ``TRACE_BLOCK`` to a
+    block: row k is ``f"{k},{temperature[k]!r},{current_u[k]!r},{best_u[k]!r},
+    {accepted[k]}\\n"``. A block is None where the writer declines one of its
+    numbers (the cases the module docstring lists).
+
+    One call per block, into one buffer that every block reuses: a yielded
+    memoryview is valid until the next block is asked for. The columns are
+    copied first only if they are not C-contiguous ``float64`` (``int64`` for
+    ``accepted``).
+    """
+    columns = [
+        np.ascontiguousarray(column, dtype)
+        for column, dtype in zip((temperature, current_u, best_u, accepted), (np.float64,) * 3 + (np.int64,))
+    ]
+    steps = len(columns[0])
+    if any(column.shape != (steps,) for column in columns):
+        raise ValueError(f"trace columns of shapes {[column.shape for column in columns]} do not match")
+    if steps == 0:
+        return
+    out = bytearray(TRACE_ROW_BYTES * min(steps, TRACE_BLOCK))
+    view = memoryview(out)
+    out_address = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    pow5 = powers_of_five().ctypes.data
+    for start in range(0, steps, TRACE_BLOCK):
+        rows = min(TRACE_BLOCK, steps - start)
+        size = lib.rnasel_format_trace(
+            start, rows, *(column.ctypes.data + column.itemsize * start for column in columns), pow5, out_address
+        )
+        yield None if size < 0 else view[:size]

@@ -55,7 +55,7 @@ def u1_from_sums(n, s1, s2, cp, pair):
         m.append(mean)
         v.append(0.0 if var <= REL_VAR_EPS * mean_sq else var)
     acc = 0.0
-    for i, j, wp, c in zip(pair.iu.tolist(), pair.ju.tolist(), pair.w.tolist(), cp.tolist()):
+    for i, j, wp, c in zip(*pair.lists, cp.tolist()):
         dv = v[i] * v[j]
         if dv <= 0.0:
             continue

@@ -22,10 +22,10 @@ bits, so the backend never changes a selection or a trace.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class AnnealSchedule:
     def temperature(self, step: int) -> float:
         return self.t_init * self.gamma**step
 
+    @cached_property
+    def temperatures(self) -> np.ndarray:
+        """``temperature(step)`` of every step as a read-only float64 column,
+        built once per schedule and shared by its restarts."""
+        column = np.array([self.temperature(step) for step in range(self.num_steps)])
+        column.setflags(write=False)
+        return column
+
 
 @dataclass(frozen=True)
 class AnnealTrace:
@@ -96,22 +104,26 @@ class AnnealTrace:
     chain: int
 
     def to_csv(self, path) -> None:
-        columns = (self.current_u, self.best_u, self.accepted_count)
-        rows = zip(_row_heads(self.temperature.tobytes()), *(c.tolist() for c in columns))
-        with replacing(path) as fh:
-            fh.write("step,temperature,current_u,best_u,accepted_count\n")
-            # a thousand rows per write: the text of a whole trace at once
-            # would add more to peak memory than the cached row heads do
-            while chunk := list(islice(rows, 1000)):
-                fh.write("".join([f"{head}{cur!r},{best!r},{acc}\n" for head, cur, best, acc in chunk]))
+        """Write the columns as ``trace.csv``: a header, then row k as
+        ``f"{k},{temperature!r},{current_u!r},{best_u!r},{accepted_count}\\n"``."""
+        with replacing(path, "wb") as fh:
+            fh.write(b"step,temperature,current_u,best_u,accepted_count\n")
+            for block in _csv_blocks(self.temperature, self.current_u, self.best_u, self.accepted_count):
+                fh.write(block)
 
 
-@functools.lru_cache(maxsize=4)
-def _row_heads(temperature: bytes) -> tuple[str, ...]:
-    """``"step,temperature,"`` of each ``trace.csv`` row, formatted once per
-    temperature column: every cell of a sweep runs the same (t_init, t_final,
-    gamma), so their traces share it."""
-    return tuple(f"{step},{t!r}," for step, t in enumerate(np.frombuffer(temperature).tolist()))
+def _csv_blocks(*columns):
+    """The rows of ``trace.csv``, ``_ckernel.TRACE_BLOCK`` to a block: written
+    by the C library when it is loaded (``_ckernel.format_trace``), and by
+    Python where it declines a block or is not loaded; both give the same bytes."""
+    lib = _ckernel.load()
+    written = itertools.repeat(None) if lib is None else _ckernel.format_trace(lib, *columns)
+    for start, block in zip(range(0, len(columns[0]), _ckernel.TRACE_BLOCK), written):
+        if block is None:
+            stop = start + _ckernel.TRACE_BLOCK
+            rows = zip(range(start, stop), *(column[start:stop].tolist() for column in columns))
+            block = "".join([f"{k},{t!r},{cur!r},{best!r},{acc}\n" for k, t, cur, best, acc in rows]).encode()
+        yield block
 
 
 def chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -134,7 +146,7 @@ def _run_chain(
     state = SubsetState.build(context, start, params)
     cur_u = state.current_u()
     best_sel = state.sel.copy()
-    temperatures = [schedule.temperature(step) for step in range(schedule.num_steps)]
+    temperatures = schedule.temperatures
     if state.comp.size > 0:
         args = (state, best_sel, rng, temperatures, schedule.swaps_per_temperature, cur_u)
         cur, best, accepted = _ckernel.anneal_chain(*args) or _kernels.anneal_chain(*args)
@@ -175,7 +187,7 @@ def run(
     assert best is not None
     temperature, cur, best_u, accepted = best_steps
     trace = AnnealTrace(
-        _column(temperature, np.float64), _column(cur, np.float64), _column(best_u, np.float64),
-        _column(accepted, np.int64), best, schedule.seed, best_chain,
+        temperature, _column(cur, np.float64), _column(best_u, np.float64), _column(accepted, np.int64),
+        best, schedule.seed, best_chain,
     )
     return best, trace

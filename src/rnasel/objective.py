@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,12 @@ class PairData:
     ju: np.ndarray
     w: np.ndarray
     count_positive: float
+
+    @cached_property
+    def lists(self) -> tuple[list, list, list]:
+        """``iu``, ``ju`` and ``w`` as Python lists, built once for the
+        Python reference kernel; the C kernel reads the arrays."""
+        return self.iu.tolist(), self.ju.tolist(), self.w.tolist()
 
 
 class ObjectiveContext:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def all_ones_weights(context: ObjectiveContext) -> PairWeights:
 def trace_columns(trace) -> tuple[list, ...]:
     """An ``AnnealTrace``'s per-step columns as lists, for exact comparison."""
     return tuple(c.tolist() for c in (trace.temperature, trace.current_u, trace.best_u, trace.accepted_count))
+
+
+def adversarial_reprs() -> np.ndarray:
+    """Doubles whose ``repr`` is hard to write: every normal power of two and
+    every power of ten, each with both neighbours, and one case for each
+    layout and for each kind of number the C trace writer declines."""
+    powers = np.array([2.0**k for k in range(-1022, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+    singles = [0.0, -0.0, 1e-05, 0.0001, 1e15, 1e16, 292584158624471.75, 5e-324, math.inf, math.nan]
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf), singles])
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -117,6 +117,13 @@ class TestSchedule:
     def test_at_least_one_step(self):
         assert AnnealSchedule(t_init=1.0, t_final=0.9999, gamma=0.5).num_steps == 1
 
+    def test_temperature_column_is_built_once(self):
+        sched = AnnealSchedule(t_init=0.7, t_final=1e-3, gamma=0.97)
+        column = sched.temperatures
+        assert column.tolist() == [sched.temperature(step) for step in range(sched.num_steps)]
+        assert column.dtype == np.float64 and not column.flags.writeable
+        assert sched.temperatures is column
+
 
 class TestAccept:
     def test_improving_always(self):
@@ -359,7 +366,12 @@ class TestRun:
             "1,0.30000000000000004,1e-320,0.3333333333333333,7\n"
         )
 
-    def test_trace_csv_interrupted_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("library", [True, False], ids=["C", "Python"])
+    def test_trace_csv_interrupted_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, library):
+        if not library:
+            monkeypatch.setattr(_ckernel, "load", lambda: None)
+        elif _ckernel.load() is None:
+            pytest.skip("no C library")
         rng = np.random.default_rng(5)
         traces = [
             AnnealTrace(
@@ -371,21 +383,21 @@ class TestRun:
         path = tmp_path / "trace.csv"
         traces[0].to_csv(path)
         before = path.read_bytes()
-        row_heads = annealer._row_heads
+        csv_blocks = annealer._csv_blocks
 
-        def heads_then_kill(temperature):
-            yield from row_heads(temperature)[:1500]  # past the first thousand-row write
+        def first_block_then_kill(*columns):
+            yield next(csv_blocks(*columns))  # the first thousand rows are written
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(annealer, "_row_heads", heads_then_kill)
+        monkeypatch.setattr(annealer, "_csv_blocks", first_block_then_kill)
         with pytest.raises(KeyboardInterrupt):
             traces[1].to_csv(path)
         assert path.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_trace_csv_long_traces_that_share_a_schedule(self, tmp_path):
-        # the row heads are formatted once per temperature column and rows
-        # are written a thousand at a time; neither may change a byte
+        # rows are written a thousand at a time, and traces may share a
+        # temperature column; neither may change a byte
         rng = np.random.default_rng(4)
         steps = 2500
         shared = 0.999 ** np.arange(steps)

@@ -3,18 +3,21 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rnasel import _ckernel
-from rnasel.annealer import AnnealSchedule, run
+from rnasel.annealer import AnnealSchedule, AnnealTrace, run
+from rnasel.model import Selection
 from rnasel.objective import ObjectiveParams
 
-from conftest import all_ones_weights, random_context, trace_columns
+from conftest import adversarial_reprs, all_ones_weights, random_context, trace_columns
 
 SRC = Path(_ckernel.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 needs_compiler = pytest.mark.skipif(_ckernel.find_compiler() is None, reason="no C compiler for the swap kernel")
 
 
@@ -77,6 +80,7 @@ import numpy as np
 from rnasel import _ckernel, annealer
 from rnasel.model import PairWeights
 from rnasel.objective import ObjectiveContext, ObjectiveParams
+from conftest import adversarial_reprs
 
 lib = _ckernel._bind(ctypes.CDLL(sys.argv[1]))
 _ckernel._probe(lib)
@@ -90,6 +94,12 @@ values = values[: len(values) // 8 * 8].reshape(-1, 8)
 for row, text in zip(values, _ckernel.format_rows(lib, values, "\t")):
     want = "".join("\t" + "%.17g" % x for x in row.tolist()) + "\n"
     assert bytes(text).decode() == want, (row.tolist(), bytes(text))
+
+# one row per call, so that a declined number declines only its own row
+for k, x in enumerate(adversarial_reprs().tolist()):
+    column = np.array([x])
+    block = next(_ckernel.format_trace(lib, column, -column, column, [k]))
+    assert block is None or bytes(block).decode() == f"0,{x!r},{-x!r},{x!r},{k}\n", (x, bytes(block))
 
 finite = values[np.isfinite(values)]
 digits = ["".join(rng.choice(list("0123456789"), size=k)) for k in rng.integers(1, 30, size=2000)]
@@ -128,8 +138,8 @@ print(len(values), "rows formatted,", len(got), "rows parsed,", trace.accepted_c
 @needs_compiler
 def test_library_is_clean_under_ubsan(tmp_path):
     # the whole library built with undefined-behaviour checks that abort:
-    # the load probe, random and boundary doubles written and read back, and
-    # one short chain
+    # the load probe, hard cases for the trace writer, random and boundary
+    # doubles written and read back, and one short chain
     build = tmp_path / "anneal-ubsan.so"
     command = [
         _ckernel.find_compiler(), *_ckernel.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
@@ -139,7 +149,9 @@ def test_library_is_clean_under_ubsan(tmp_path):
     if proc.returncode != 0 and "ubsan" in proc.stderr:
         pytest.skip(f"no libubsan: {proc.stderr.strip()}")
     assert proc.returncode == 0, proc.stderr
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
+    )
     child = subprocess.run(
         [sys.executable, "-c", UBSAN_CHECKS, str(build)], capture_output=True, text=True, timeout=300, env=env
     )
@@ -230,3 +242,73 @@ def test_probe_floats_cover_the_formatter_layouts():
     written = ["%.17g" % x for x in _ckernel.PROBE_FLOATS]
     assert {"0", "-0", "inf", "-inf", "nan", "0.0001", "9.9999999999999991e-05", "1e+17"} <= set(written)
     assert any(len(text.partition("e")[2]) == 4 for text in written)  # e+308, e-324
+
+
+@needs_compiler
+def test_trace_writer_that_misformats_is_not_used(fresh_loader, monkeypatch):
+    format_trace = _ckernel.format_trace
+
+    def one_digit_exponents(lib, *columns):
+        for block in format_trace(lib, *columns):
+            yield None if block is None else bytes(block).replace(b"e-05", b"e-5")
+
+    monkeypatch.setattr(_ckernel, "format_trace", one_digit_exponents)
+    with pytest.warns(
+        _ckernel.KernelFallbackWarning,
+        match=r"C trace writer wrote '0,1e-5,1e-5,1e-5,8\\n', not '0,1e-05,1e-05,1e-05,8\\n'",
+    ):
+        assert _ckernel.load() is None
+
+
+def declines(lib, x) -> bool:
+    """Whether the C trace writer declines the one-row block of x."""
+    column = np.array([x])
+    return next(_ckernel.format_trace(lib, column, column, column, [0])) is None
+
+
+@needs_compiler
+def test_probe_reprs_cover_the_trace_writer_branches():
+    lib = _ckernel.load()
+    declined = [repr(x) for x in _ckernel.PROBE_REPRS if declines(lib, x)]
+    assert declined == [
+        "1.7976931348623157e+308", "8.209073602596753e-289", "292584158624471.75", "1e-300", "5e-324", "inf",
+        "-inf", "nan",
+    ]
+    written = {repr(x) for x in _ckernel.PROBE_REPRS} - set(declined)
+    assert {"0.0", "-0.0", "123.0", "1000000000000000.0", "0.0001", "1e-05", "1e+16", "1e+23"} <= written
+    assert {len(text.split("e")[0].replace(".", "").strip("-0")) for text in written} >= {15, 16, 17}
+
+
+@needs_compiler
+def test_trace_csv_writes_repr_of_adversarial_columns(tmp_path, monkeypatch):
+    # the numbers the C writer takes fill whole blocks, then one block mixes
+    # a declined number into trace-like values, then the declined ones follow
+    lib = _ckernel.load()
+    values = adversarial_reprs()
+    declined = np.array([declines(lib, x) for x in values.tolist()])
+    refused = values[declined]
+    for x in refused.tolist():
+        # outside the table, a power of two, or an exact tie at 15, 16 or 17 digits
+        digits = "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0") if math.isfinite(x) else ""
+        assert not 2.0**-970 <= abs(x) <= sys.float_info.max or math.frexp(x)[0] in (0.5, -0.5) or (
+            len(digits) in (16, 17, 18) and digits.endswith("5")
+        ), x
+    trace_like = np.random.default_rng(6).uniform(0.4, 0.9, 2 * _ckernel.TRACE_BLOCK)
+    assert not any(block is None for block in _ckernel.format_trace(lib, trace_like, trace_like, trace_like, [0] * 2000))
+    written = values[~declined]
+    pad = -len(written) % _ckernel.TRACE_BLOCK
+    column = np.concatenate([written, trace_like[:pad], trace_like[pad : pad + 999], refused[:1], refused])
+    steps = len(column)
+    trace = AnnealTrace(
+        temperature=column, current_u=-column, best_u=column, accepted_count=np.arange(steps),
+        selection=Selection((0,), 0.5, 0.5, 0.5), seed=3, chain=0,
+    )
+    want = "step,temperature,current_u,best_u,accepted_count\n" + "".join(
+        f"{k},{x!r},{-x!r},{x!r},{k}\n" for k, x in enumerate(column.tolist())
+    )
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_text(encoding="ascii") == want
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    trace.to_csv(path)
+    assert path.read_text(encoding="ascii") == want
