@@ -12,7 +12,7 @@ from .clustering import (
     to_newick,
 )
 from .errors import NumericalError, ParameterError, ValidationError
-from .ingest import IngestReport, compute_ratios, load_matrix, load_meta, load_weights, replacement_value
+from .ingest import IngestReport, compute_ratios, load_matrix, load_meta, load_weights
 from .model import (
     Dendrogram,
     ExpressionMatrix,
@@ -75,7 +75,6 @@ __all__ = [
     "load_weights",
     "naive_average_linkage",
     "pearson_abs",
-    "replacement_value",
     "run",
     "swap_delta",
     "to_merge_dict",

@@ -296,14 +296,14 @@ def _address(array: np.ndarray, dtype) -> int:
     return array.ctypes.data
 
 
-def anneal_chain(
-    state, best_sel: np.ndarray, rng: np.random.Generator, temperatures, swaps: int, cur_u: float
-):
-    """Every temperature step of one chain in C, as ``_kernels.anneal_chain``;
-    ``temperatures`` is a C-contiguous float64 array.
+def anneal_chain(state, best_sel, rng, temperatures, swaps, cur_u, cur_out, best_out, accepted_out):
+    """Every temperature step of one chain in C, with the contract and the
+    bits of ``_kernels.anneal_chain``: updates ``state`` and ``best_sel`` in
+    place and fills the caller's ``cur_out``, ``best_out`` and
+    ``accepted_out`` in place, one entry per step. ``temperatures`` and the
+    outputs are C-contiguous float64 arrays (int64 for ``accepted_out``).
 
-    Updates ``state`` and ``best_sel`` in place and returns the per-step
-    arrays (cur_u, best_u, accepted), or None if the kernel is unavailable.
+    Returns True, or None if the kernel is unavailable.
     """
     context, pair = state.context, state.pair
     if context.n_features > MAX_BOUND:
@@ -312,10 +312,11 @@ def anneal_chain(
     if lib is None:
         return None
     f64, i64 = np.float64, np.int64
+    steps = len(temperatures)
+    if any(out.shape != (steps,) for out in (cur_out, best_out, accepted_out)):
+        raise ValueError(f"kernel outputs must have shape ({steps},)")
     g, p = context.n_treated, len(pair.iu)
     scratch = [np.empty(size) for size in (g, g, p, g, g)]  # t_s1, t_s2, t_cp, m, v
-    steps = len(temperatures)
-    cur_trace, best_trace, accepted_trace = np.empty(steps), np.empty(steps), np.empty(steps, dtype=i64)
     chain = Chain(
         _address(context.ratios, f64), _address(context.norms, f64),
         _address(pair.iu, i64), _address(pair.ju, i64), _address(pair.w, f64),
@@ -330,10 +331,10 @@ def anneal_chain(
         lib.rnasel_anneal_chain(
             ctypes.byref(chain), rng.bit_generator.ctypes.bit_generator,
             _address(temperatures, f64), steps, swaps,
-            cur_trace.ctypes.data, best_trace.ctypes.data, accepted_trace.ctypes.data,
+            _address(cur_out, f64), _address(best_out, f64), _address(accepted_out, i64),
         )
     state.norm_sum = chain.norm_sum
-    return cur_trace, best_trace, accepted_trace
+    return True
 
 
 @functools.cache

@@ -87,20 +87,21 @@ def trial_swap(state, in_f, out_f):
     return (1.0 - state.alpha) * u1 + state.alpha * u2, (s1, s2, cp, norm_sum)
 
 
-def anneal_chain(state, best_sel, rng, temperatures, swaps, cur_u):
+def anneal_chain(state, best_sel, rng, temperatures, swaps, cur_u, cur_out, best_out, accepted_out):
     """Every temperature step of one chain of Metropolis swap moves.
 
     Runs ``swaps`` proposals at each temperature, starting from ``state``
     with objective ``cur_u``. Draw order per proposal: position into the
     subset, position into the complement, then one uniform draw only when
-    the move does not improve. Updates ``state`` and ``best_sel`` in place
-    and returns the per-step lists (cur_u, best_u, accepted).
+    the move does not improve. Updates ``state`` and ``best_sel`` in place.
+    The outputs are owned by the caller and filled in place: after step k,
+    ``cur_out[k]``, ``best_out[k]`` and ``accepted_out[k]`` hold the current
+    u, the best u and the number of accepted proposals.
     """
     sel, comp = state.sel, state.comp
     n, n_comp = sel.size, comp.size
     best_u = cur_u
-    cur_trace, best_trace, accepted_trace = [], [], []
-    for temperature in temperatures:
+    for step, temperature in enumerate(temperatures):
         accepted = 0
         for _ in range(swaps):
             i = rng.integers(0, n)
@@ -115,7 +116,4 @@ def anneal_chain(state, best_sel, rng, temperatures, swaps, cur_u):
                 if cur_u > best_u:
                     best_u = cur_u
                     best_sel[:] = sel
-        cur_trace.append(cur_u)
-        best_trace.append(best_u)
-        accepted_trace.append(accepted)
-    return cur_trace, best_trace, accepted_trace
+        cur_out[step], best_out[step], accepted_out[step] = cur_u, best_u, accepted

@@ -14,10 +14,11 @@ ties going to the lowest chain index. Per proposal a chain draws the position
 into the subset, then the position into the complement, then one uniform only
 when the move does not improve.
 
-Each chain runs in one call of the C kernel (``_ckernel``) when it can be
-built, else of the Python reference (``_kernels.anneal_chain``, with a
-warning). Both read the chain's generator in that order and give the same
-bits, so the backend never changes a selection or a trace.
+Each chain gives one ``AnnealTrace``, whose columns one call of the C kernel
+(``_ckernel``) fills in place when it can be built, else the Python reference
+(``_kernels.anneal_chain``, with a warning). Both read the chain's generator
+in that order and give the same bits, so the backend never changes a
+selection or a trace.
 """
 
 from __future__ import annotations
@@ -89,10 +90,11 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class AnnealTrace:
-    """Per-temperature progress of the chain that produced the result.
+    """One chain: its per-temperature progress and the selection it reports.
 
     ``temperature``, ``current_u``, ``best_u`` and ``accepted_count`` are
-    read-only arrays with one entry per temperature step.
+    read-only arrays with one entry per temperature step; ``chain`` is the
+    chain's index among the restarts of a run seeded with ``seed``.
     """
 
     temperature: np.ndarray
@@ -135,36 +137,31 @@ def _run_chain(
     context: ObjectiveContext,
     params: ObjectiveParams,
     schedule: AnnealSchedule,
-    rng: np.random.Generator,
+    chain: int,
     return_final: bool,
-) -> tuple[Selection, tuple]:
-    """One chain: its reported selection and its per-step sequences
-    (temperature, current u, best u, accepted count), as the kernel gave them."""
+) -> AnnealTrace:
+    """Chain ``chain`` of ``schedule``, drawing from ``chain_rng(schedule.seed,
+    chain)``: its trace, whose columns the kernel fills in place, and its
+    reported selection."""
     if params.n > context.n_features:
         raise ParameterError(f"n = {params.n} exceeds {context.n_features} features")
+    rng = chain_rng(schedule.seed, chain)
     start = np.sort(rng.choice(context.n_features, size=params.n, replace=False))
     state = SubsetState.build(context, start, params)
     cur_u = state.current_u()
     best_sel = state.sel.copy()
     temperatures = schedule.temperatures
-    if state.comp.size > 0:
-        args = (state, best_sel, rng, temperatures, schedule.swaps_per_temperature, cur_u)
-        cur, best, accepted = _ckernel.anneal_chain(*args) or _kernels.anneal_chain(*args)
-    else:  # a full subset has nothing to swap with
-        cur = best = [cur_u] * len(temperatures)
-        accepted = [0] * len(temperatures)
-
-    reported = state.sel if return_final else best_sel
-    idx = np.sort(reported)
+    steps = len(temperatures)
+    columns = (np.full(steps, cur_u), np.full(steps, cur_u), np.zeros(steps, np.int64))
+    if state.comp.size > 0:  # a full subset has nothing to swap with
+        args = (state, best_sel, rng, temperatures, schedule.swaps_per_temperature, cur_u, *columns)
+        _ckernel.anneal_chain(*args) or _kernels.anneal_chain(*args)
+    for column in columns:
+        column.setflags(write=False)
+    idx = np.sort(state.sel if return_final else best_sel)
     u, u1, u2 = eval_u(context, idx, params)
     selection = Selection(tuple(int(i) for i in idx), u, u1, u2)
-    return selection, (temperatures, cur, best, accepted)
-
-
-def _column(values, dtype) -> np.ndarray:
-    column = np.asarray(values, dtype=dtype)
-    column.setflags(write=False)
-    return column
+    return AnnealTrace(temperatures, *columns, selection, schedule.seed, chain)
 
 
 def run(
@@ -173,21 +170,13 @@ def run(
     schedule: AnnealSchedule,
     return_final: bool = False,
 ) -> tuple[Selection, AnnealTrace]:
-    """Anneal ``schedule.restarts`` independent chains and keep the best.
+    """Anneal ``schedule.restarts`` independent chains and keep the best:
+    its selection and its trace, whose ``chain`` is that restart's index.
 
-    Fully deterministic given (context, params, schedule): chain c draws from
-    ``chain_rng(schedule.seed, c)``.
+    The best chain has the largest objective, ties going to the lowest
+    index. Fully deterministic given (context, params, schedule): chain c
+    draws from ``chain_rng(schedule.seed, c)``.
     """
-    best: Selection | None = None
-    for chain in range(schedule.restarts):
-        rng = chain_rng(schedule.seed, chain)
-        selection, steps = _run_chain(context, params, schedule, rng, return_final)
-        if best is None or selection.objective > best.objective:
-            best, best_steps, best_chain = selection, steps, chain
-    assert best is not None
-    temperature, cur, best_u, accepted = best_steps
-    trace = AnnealTrace(
-        temperature, _column(cur, np.float64), _column(best_u, np.float64), _column(accepted, np.int64),
-        best, schedule.seed, best_chain,
-    )
-    return best, trace
+    chains = (_run_chain(context, params, schedule, chain, return_final) for chain in range(schedule.restarts))
+    trace = max(chains, key=lambda trace: trace.selection.objective)
+    return trace.selection, trace

@@ -306,15 +306,6 @@ def load_weights(path) -> list[tuple[str, str, int]]:
     return entries
 
 
-def replacement_value(column) -> float:
-    """Smallest strictly positive value of the column (the zero stand-in)."""
-    col = np.asarray(column, dtype=np.float64)
-    positive = col[col > 0]
-    if positive.size == 0:
-        raise ValidationError("all-zero column has no replacement value")
-    return float(positive.min())
-
-
 def compute_ratios(matrix: ExpressionMatrix, meta: SampleMeta, report: IngestReport | None = None) -> RatioMatrix:
     """log2(treated / control) per feature, with per-column zero replacement.
 

@@ -194,6 +194,7 @@ def eval_u(context: ObjectiveContext, indices, params: ObjectiveParams) -> tuple
     return u, u1, u2
 
 
+@dataclass(slots=True, eq=False)
 class SubsetState:
     """Running sums for one annealing chain.
 
@@ -202,22 +203,16 @@ class SubsetState:
     between chains.
     """
 
-    __slots__ = (
-        "context", "pair", "alpha", "n",
-        "sel", "comp", "s1", "s2", "cp", "norm_sum",
-    )
-
-    def __init__(self, context, pair, alpha, n, sel, comp, s1, s2, cp, norm_sum):
-        self.context = context
-        self.pair = pair
-        self.alpha = alpha
-        self.n = n
-        self.sel = sel
-        self.comp = comp
-        self.s1 = s1
-        self.s2 = s2
-        self.cp = cp
-        self.norm_sum = norm_sum
+    context: ObjectiveContext
+    pair: PairData
+    alpha: float
+    n: int
+    sel: np.ndarray
+    comp: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    cp: np.ndarray
+    norm_sum: float
 
     @classmethod
     def build(cls, context: ObjectiveContext, indices, params: ObjectiveParams) -> "SubsetState":
@@ -231,14 +226,10 @@ class SubsetState:
         return cls(context, pair, params.alpha, params.n, idx.copy(), comp, s1, s2, cp, norm_sum)
 
     def current_u(self) -> float:
-        u, _, _ = self.current_parts()
-        return u
-
-    def current_parts(self) -> tuple[float, float, float]:
-        """(u, u1, u2) computed from the running sums."""
+        """u computed from the running sums."""
         u1 = _kernels.u1_from_sums(self.n, self.s1, self.s2, self.cp, self.pair)
         u2 = self.norm_sum / (self.n * self.context.max_norm)
-        return (1.0 - self.alpha) * u1 + self.alpha * u2, u1, u2
+        return (1.0 - self.alpha) * u1 + self.alpha * u2
 
     def indices(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.sort(self.sel))

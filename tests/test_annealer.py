@@ -69,23 +69,21 @@ def reference_step(state, rng, swaps=1):
 
     def step(temperature):
         nonlocal cur_u
-        trace = _kernels.anneal_chain(state, best_sel, rng, [temperature], swaps, cur_u)
-        cur_u = trace[0][-1]
-        return tuple(values[-1] for values in trace)
+        columns = (np.empty(1), np.empty(1), np.empty(1, np.int64))
+        _kernels.anneal_chain(state, best_sel, rng, [temperature], swaps, cur_u, *columns)
+        cur_u = columns[0][0]
+        return tuple(column[0] for column in columns)
 
     return step
 
 
-def chain_start(monkeypatch, ctx, params, rng):
-    """The subset ``_run_chain`` starts from: run it with a kernel that never moves."""
-    def still(state, best_sel, rng, temperatures, swaps, cur_u):
-        steps = len(temperatures)
-        return [cur_u] * steps, [cur_u] * steps, [0] * steps
-
+def chain_start(monkeypatch, ctx, params, seed):
+    """The subset chain 0 of a run seeded with ``seed`` starts from: run
+    ``_run_chain`` with a kernel that never moves."""
     monkeypatch.setattr(_ckernel, "anneal_chain", lambda *args: None)
-    monkeypatch.setattr(_kernels, "anneal_chain", still)
-    selection, _ = _run_chain(ctx, params, AnnealSchedule(t_init=1.0, t_final=0.9, gamma=0.5), rng, True)
-    return selection
+    monkeypatch.setattr(_kernels, "anneal_chain", lambda *args: None)
+    schedule = AnnealSchedule(t_init=1.0, t_final=0.9, gamma=0.5, seed=seed)
+    return _run_chain(ctx, params, schedule, 0, True).selection
 
 
 class TestSchedule:
@@ -164,23 +162,22 @@ class TestInitialState:
     def test_full_set_when_n_equals_f(self, monkeypatch):
         ctx, _ = small_problem(f=6, n=6)
         params = ObjectiveParams(alpha=0.2, n=6, weights=all_ones_weights(ctx))
-        sel = chain_start(monkeypatch, ctx, params, np.random.default_rng(0))
+        sel = chain_start(monkeypatch, ctx, params, 0)
         assert sel.indices == tuple(range(6))
 
     def test_seed_determinism(self, monkeypatch):
         ctx, params = small_problem()
-        a = chain_start(monkeypatch, ctx, params, np.random.default_rng(99))
-        b = chain_start(monkeypatch, ctx, params, np.random.default_rng(99))
+        a = chain_start(monkeypatch, ctx, params, 99)
+        b = chain_start(monkeypatch, ctx, params, 99)
         assert a == b
 
     def test_uniform_membership(self, monkeypatch):
         ctx, _ = small_problem(f=10, g=4)
         params = ObjectiveParams(alpha=0.0, n=3, weights=all_ones_weights(ctx))
-        rng = np.random.default_rng(7)
         counts = np.zeros(10)
         draws = 10_000
-        for _ in range(draws):
-            sel = chain_start(monkeypatch, ctx, params, rng)
+        for seed in range(draws):
+            sel = chain_start(monkeypatch, ctx, params, seed)
             counts[list(sel.indices)] += 1
         # each feature present with probability n/F = 0.3
         sigma = math.sqrt(draws * 0.3 * 0.7)
@@ -237,9 +234,9 @@ class TestProposeSwap:
         monkeypatch.setattr(_kernels, "anneal_chain", no_kernel)
         ctx, _ = small_problem(f=4, g=3)
         params = ObjectiveParams(alpha=0.2, n=4, weights=all_ones_weights(ctx))
-        sel, (_, _, _, accepted) = _run_chain(ctx, params, AnnealSchedule(), np.random.default_rng(0), False)
-        assert sel.indices == (0, 1, 2, 3)
-        assert all(count == 0 for count in accepted)
+        trace = _run_chain(ctx, params, AnnealSchedule(), 0, False)
+        assert trace.selection.indices == (0, 1, 2, 3)
+        assert all(count == 0 for count in trace.accepted_count)
 
 
 class TestRun:
@@ -323,14 +320,31 @@ class TestRun:
         schedule = AnnealSchedule(t_init=1.0, t_final=0.05, gamma=0.8, swaps_per_temperature=10,
                                   seed=31, restarts=4)
         best, trace = run(ctx, params, schedule)
-        singles = []
-        for chain in range(4):
-            sel, _ = _run_chain(ctx, params, schedule, chain_rng(schedule.seed, chain), False)
-            singles.append(sel)
-        expected = max(singles, key=lambda s: s.objective)
-        assert best.objective == expected.objective
-        assert best.indices == expected.indices
-        assert 0 <= trace.chain < 4
+        singles = [_run_chain(ctx, params, schedule, chain, False) for chain in range(4)]
+        expected = max(singles, key=lambda single: single.selection.objective)
+        assert best.objective == expected.selection.objective
+        assert best.indices == expected.selection.indices
+        assert best is trace.selection and trace.selection == expected.selection
+        assert trace.chain == expected.chain and 0 <= trace.chain < 4
+        assert trace_columns(trace) == trace_columns(expected)
+
+    @pytest.mark.parametrize("library", [True, False], ids=["C", "Python"])
+    @pytest.mark.parametrize("n", [5, 2], ids=["full", "partial"])
+    def test_restart_tie_goes_to_the_first_chain(self, monkeypatch, library, n):
+        # alpha = 1 and equal norms give every subset u = 1, so the three chains
+        # tie: with n = F each keeps the full set, with n < F its own start
+        if not library:
+            monkeypatch.setattr(_ckernel, "load", lambda: None)
+        elif _ckernel.load() is None:
+            pytest.skip("no C library")
+        ctx = ObjectiveContext(np.random.default_rng(0).normal(size=(5, 4)), np.ones(5), ("t0", "t1", "t2", "t3"))
+        params = ObjectiveParams(alpha=1.0, n=n, weights=all_ones_weights(ctx))
+        schedule = AnnealSchedule(t_init=1.0, t_final=0.1, gamma=0.5, seed=8, restarts=3)
+        best, trace = run(ctx, params, schedule)
+        assert trace.chain == 0
+        assert best == _run_chain(ctx, params, schedule, 0, False).selection
+        if n == 5:
+            assert best.indices == tuple(range(5))
 
     def test_trace_csv_round_trip(self, tmp_path):
         ctx, params = small_problem(seed=10)

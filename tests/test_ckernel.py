@@ -1,5 +1,7 @@
+import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -70,6 +72,40 @@ def test_source_compiles_without_warnings(tmp_path):
     ]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+C_SOURCE = _ckernel.SOURCE.read_text(encoding="utf-8")
+
+
+def c_define(name):
+    """The integer value of macro ``name`` in ``_anneal.c``, the macros it
+    names substituted."""
+    expr = re.search(rf"^#define {name} (.*)$", C_SOURCE, re.M).group(1)
+    expr = re.sub(r"\b[A-Z_][A-Z0-9_]*\b", lambda m: str(c_define(m.group(0))), expr)
+    assert re.fullmatch(r"[\d\s()+*-]+", expr), expr
+    return eval(expr)
+
+
+def c_struct_members(name):
+    """The members of struct typedef ``name`` in ``_anneal.c``, in order, as
+    (member, C type), the type of a pointer member being "pointer"."""
+    body = re.search(rf"typedef struct \{{([^{{}}]*)\}} {name};", C_SOURCE).group(1)
+    members = []
+    for declaration in filter(None, map(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";"))):
+        ctype, declarators = re.fullmatch(r"(?:const )?(\w+) (.+)", declaration, re.S).groups()
+        for declarator in map(str.strip, declarators.split(",")):
+            members.append((declarator.lstrip("*"), "pointer" if declarator.startswith("*") else ctype))
+    return members
+
+
+def test_python_declarations_match_the_c_source():
+    # read as text, so a mismatch shows without a compiler: a buffer constant
+    # smaller than C's would let C write past its bytearray
+    ctypes_of = {"pointer": ctypes.c_void_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    assert [(member, ctypes_of[ctype]) for member, ctype in c_struct_members("chain_t")] == _ckernel.Chain._fields_
+    assert c_define("FORMAT_BYTES") == _ckernel.FORMAT_BYTES
+    assert c_define("TRACE_ROW_BYTES") == _ckernel.TRACE_ROW_BYTES
+    assert c_define("POW5_MAX_Q") - c_define("POW5_MIN_Q") + 1 == len(_ckernel.powers_of_five())
 
 
 # Run in a child process by test_library_is_clean_under_ubsan, with the path

@@ -15,7 +15,6 @@ from rnasel.ingest import (
     load_matrix,
     load_meta,
     load_weights,
-    replacement_value,
     write_matrix,
     write_meta,
     write_weights,
@@ -557,18 +556,6 @@ class TestLoadWeights:
         text = "sample_a\tsample_b\tweight\n\na1\ta2\t1\n \t\na1\ta3\t2\n"
         with pytest.raises(ValidationError, match=r"w\.tsv:5: weight must be"):
             load_weights(write(tmp_path / "w.tsv", text))
-
-
-class TestReplacementValue:
-    def test_picks_smallest_positive(self):
-        assert replacement_value([0.0, 0.5, 2.0]) == 0.5
-
-    def test_defined_without_zeros(self):
-        assert replacement_value([3.0, 1.0, 7.0]) == 1.0
-
-    def test_all_zero_errors(self):
-        with pytest.raises(ValidationError):
-            replacement_value([0.0, 0.0, 0.0])
 
 
 class TestComputeRatios:
