@@ -1,12 +1,10 @@
 /* The compiled part of rnasel: one annealing chain of Metropolis swap moves
  * (the C twin of rnasel._kernels.anneal_chain), the row parser that
- * rnasel.ingest.load_matrix uses for well-formed matrix files, the row
- * writer that rnasel.ingest.write_table uses for its "%.17g" numbers, and
- * the trace writer that rnasel.annealer.AnnealTrace.to_csv uses for the
- * repr of its floats. The parser and the writers share the table of powers
- * of five that rnasel._ckernel.powers_of_five builds, and the 64 x 64 ->
- * 128-bit multiply; the trace writer reads its digits back with the parser's
- * converter.
+ * rnasel.ingest.load_matrix uses for well-formed matrix files, and the two
+ * writers of "%.17g" numbers: the row writer of rnasel.ingest.write_table and
+ * the trace writer of rnasel.annealer.AnnealTrace.to_csv. The parser and the
+ * writers share the table of powers of five that
+ * rnasel._ckernel.powers_of_five builds, and the 64 x 64 -> 128-bit multiply.
  *
  * Every floating-point operation of the chain is written in the order of the
  * Python reference, and the library is built with -ffp-contract=off and
@@ -21,9 +19,10 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* For the helpers that the parser's and the writers' inner loops share. GCC
- * inlines a large static function of one caller but not of several: once the
- * trace writer called eisel_lemire too, the parser ran about 10% slower. */
+/* For format_g17 and its helpers, which the table writer and the trace
+ * writer both call. GCC inlines a large static function of one caller but
+ * not of several; this keeps the number writer inlined into each writer's
+ * loop, without a call per number. */
 #if defined(__GNUC__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
 #else
@@ -266,7 +265,7 @@ static int64_t floor_log2_pow10(int64_t q)
  * leaves *value alone where it does not apply: more than 19 significant
  * digits, q outside the table, a subnormal or infinite result, or the rare
  * product that cannot decide the rounding. */
-static ALWAYS_INLINE int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
+static int eisel_lemire(const decimal_t *d, const uint64_t *pow5, double *value)
 {
     const uint64_t *p5;
     uint64_t w = d->w, high, low, high2, low2, mantissa, bits;
@@ -445,26 +444,23 @@ static ALWAYS_INLINE int scale_to_17_digits(double x, const uint64_t *pow5, scal
     return 1;
 }
 
-/* The scaled number over unit (1, 10 or 100), rounded to the nearest integer:
- * the 17, 16 or 15 correctly rounded significant digits of |x|, to *rounded.
- * Returns 0 where the product cannot decide the rounding: within 2 units of
- * its last place of a tie, which takes in every exact tie. */
-static ALWAYS_INLINE int round_digits(const scaled_t *s, uint64_t unit, uint64_t *rounded)
+/* The scaled number rounded to the nearest integer: the 17 correctly rounded
+ * significant digits of |x|, to *rounded. Returns 0 where the product cannot
+ * decide the rounding: within 2 units of its last place of a tie, which takes
+ * in every exact tie. */
+static ALWAYS_INLINE int round_digits(const scaled_t *s, uint64_t *rounded)
 {
-    uint64_t rest = (s->digits % unit) << s->fraction_bits | s->fraction;
-    uint64_t tie = unit << (s->fraction_bits - 1);
-    if ((rest == tie && s->low <= 2) || (rest == tie - 1 && s->low >= UINT64_MAX - 1))
+    uint64_t tie = (uint64_t)1 << (s->fraction_bits - 1);
+    if ((s->fraction == tie && s->low <= 2) || (s->fraction == tie - 1 && s->low >= UINT64_MAX - 1))
         return 0;
-    *rounded = s->digits / unit + (rest >= tie);
+    *rounded = s->digits + (s->fraction >= tie);
     return 1;
 }
 
 /* Write digits * 10^(k - 16), for digits in [10^16, 10^17], without its
  * trailing zeros, to out; returns the bytes written. The layout is that of
- * Python's "%.17g" (the exponent form for k < -4 or k >= 17) or, with repr
- * set, that of repr (the exponent form for k < -4 or k >= 16, and ".0" after
- * an integral number in fixed form). */
-static ALWAYS_INLINE int write_decimal(uint64_t digits, int64_t k, int repr, char *out)
+ * Python's "%.17g": the exponent form for k < -4 or k >= 17. */
+static ALWAYS_INLINE int write_decimal(uint64_t digits, int64_t k, char *out)
 {
     static const uint64_t ten16 = 10000000000000000u;
     int n = 0, last;
@@ -479,7 +475,7 @@ static ALWAYS_INLINE int write_decimal(uint64_t digits, int64_t k, int repr, cha
     write_8_digits((uint32_t)(digits % 100000000u), d + 9);
     for (last = 16; d[last] == '0'; last--)
         ;
-    if (k < -4 || k >= 17 - repr) { /* d.ddde+XX */
+    if (k < -4 || k >= 17) { /* d.ddde+XX */
         out[n++] = d[0];
         if (last > 0) {
             out[n++] = '.';
@@ -506,9 +502,6 @@ static ALWAYS_INLINE int write_decimal(uint64_t digits, int64_t k, int repr, cha
             out[n++] = '.';
             memcpy(out + n, d + k + 1, (size_t)(last - k));
             n += (int)(last - k);
-        } else if (repr) {
-            memcpy(out + n, ".0", 2);
-            n += 2;
         }
     }
     return n;
@@ -523,7 +516,7 @@ static ALWAYS_INLINE int write_decimal(uint64_t digits, int64_t k, int repr, cha
  * fraction within 2 units of one half (every exact tie among them), a
  * subnormal, and |x| < 1e-292, where 16 - k is past the table. Python writes
  * every NaN as "nan". */
-static int format_g17(double x, const uint64_t *pow5, char *out)
+static ALWAYS_INLINE int format_g17(double x, const uint64_t *pow5, char *out)
 {
     uint64_t bits, digits;
     scaled_t s;
@@ -544,8 +537,8 @@ static int format_g17(double x, const uint64_t *pow5, char *out)
         out[n] = '0';
         return n + 1;
     }
-    if (scale_to_17_digits(x, pow5, &s) && round_digits(&s, 1, &digits))
-        return n + write_decimal(digits, s.k, 0, out + n);
+    if (scale_to_17_digits(x, pow5, &s) && round_digits(&s, &digits))
+        return n + write_decimal(digits, s.k, out + n);
     n = snprintf(fallback, sizeof fallback, "%.17g", x);
     memcpy(out, fallback, (size_t)n);
     return n;
@@ -563,48 +556,6 @@ int64_t rnasel_format_row(const double *values, int64_t width, int delim, const 
     }
     *p++ = '\n';
     return p - out;
-}
-
-/* Write x as Python's repr(x) writes it, to out (at least FORMAT_BYTES - 1
- * bytes); returns the bytes written, or -1 where it cannot tell them. repr's
- * digits are the shortest that read back to x and, of those, the nearest to x
- * (Steele & White 1990; Adams, "Ryu: Fast Float-to-String Conversion", 2018).
- * A decimal of at most 15 significant digits survives a round trip through a
- * double (DBL_DIG), so when repr needs at most 15 digits they are the
- * correctly rounded 15, trailing zeros dropped, and these read back to x only
- * then. Else, when some 16-digit decimal reads back, the nearest one does,
- * but for a power of two: its lower half-gap is half the upper one, so repr
- * may take a decimal above x. Else the correctly rounded 17 digits, which
- * always read back. eisel_lemire does the reading back. Zeros are written
- * here; -1 comes back for a subnormal, inf, NaN, |x| < 2^-970, a rounding the
- * product cannot decide, a reading back that eisel_lemire declines, and a
- * power of two whose nearest 16-digit decimal does not read back. */
-static int format_repr(double x, const uint64_t *pow5, char *out)
-{
-    static const uint64_t units[2] = {100, 10};
-    uint64_t bits, digits;
-    scaled_t s;
-    int n = 0;
-    memcpy(&bits, &x, sizeof bits);
-    if (bits >> 63)
-        out[n++] = '-';
-    if (x == 0) {
-        memcpy(out + n, "0.0", 3);
-        return n + 3;
-    }
-    if (!scale_to_17_digits(x, pow5, &s))
-        return -1;
-    for (int i = 0; i < 2; i++) {
-        decimal_t d = {0, s.k - 14 - i, 0, 1}; /* 15 + i digits: w * 10^(k - 14 - i) */
-        double back;
-        if (!round_digits(&s, units[i], &d.w) || !eisel_lemire(&d, pow5, &back))
-            return -1;
-        if (back == fabs(x))
-            return n + write_decimal(d.w * units[i], s.k, 1, out + n);
-    }
-    if ((bits & (((uint64_t)1 << 52) - 1)) == 0 || !round_digits(&s, 1, &digits))
-        return -1;
-    return n + write_decimal(digits, s.k, 1, out + n);
 }
 
 /* Write v in decimal to out (at least 20 bytes); returns the bytes written. */
@@ -630,9 +581,8 @@ static int write_int(int64_t v, char *out)
 
 /* Write rows of trace.csv, each "step,temperature,current_u,best_u,
  * accepted_count\n" with steps counted from first_step and each float as
- * Python's repr writes it, to out (at least TRACE_ROW_BYTES * rows bytes),
- * using the table pow5. Returns the bytes written, or -1 if format_repr
- * declines any of the numbers; then none of the block is usable. */
+ * Python's "%.17g" % x writes it, to out (at least TRACE_ROW_BYTES * rows
+ * bytes), using the table pow5; returns the bytes written. */
 int64_t rnasel_format_trace(int64_t first_step, int64_t rows, const double *temperature,
                             const double *current_u, const double *best_u, const int64_t *accepted,
                             const uint64_t *pow5, char *out)
@@ -642,12 +592,8 @@ int64_t rnasel_format_trace(int64_t first_step, int64_t rows, const double *temp
         const double values[3] = {temperature[r], current_u[r], best_u[r]};
         p += write_int(first_step + r, p);
         for (int c = 0; c < 3; c++) {
-            int n;
             *p++ = ',';
-            n = format_repr(values[c], pow5, p);
-            if (n < 0)
-                return -1;
-            p += n;
+            p += format_g17(values[c], pow5, p);
         }
         *p++ = ',';
         p += write_int(accepted[r], p);

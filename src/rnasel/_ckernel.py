@@ -18,19 +18,8 @@ bytes of Python's ``"%.17g" % x``: its 17 digits are ``round(|x| * 10**(16 -
 k))``, with ``k = floor(log10(|x|))``, from one product with the same table,
 and ``snprintf`` writes subnormal numbers, those under about 1e-292, and
 those whose product lies within 2 units of its last place of a rounding tie.
-``format_trace`` writes the rows of ``trace.csv`` for
-``AnnealTrace.to_csv``, each float as the bytes of ``repr(x)``: the shortest
-digits that read back to x, the nearest to x of those. A decimal of at most
-15 significant digits survives a round trip through a double, so the
-correctly rounded 15 digits, their trailing zeros dropped, are repr's when
-they read back to x (by the same Eisel-Lemire converter); else the
-correctly rounded 16 digits when they read back; else the 17 of
-``format_rows``. It declines a block, which Python then writes, that holds
-a subnormal, an infinity, a NaN, a number under about 1e-292, a rounding
-within 2 units of a tie, a reading back the converter cannot decide, or a
-power of two whose nearest 16-digit decimal does not read back (its lower
-neighbour is nearer than its upper one, so repr may take a decimal above
-it). ctypes releases the GIL for every call.
+``format_trace`` writes the rows of ``trace.csv`` for ``AnnealTrace.to_csv``
+with the same ``"%.17g"`` writer. ctypes releases the GIL for every call.
 
 On first use the source is compiled with the system C compiler and the
 library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
@@ -38,12 +27,11 @@ library is cached per user under ``$XDG_CACHE_HOME/rnasel`` (else
 a hash of the source, the flags and the machine type. If no compiler is
 found, the build fails, the library will not load, its bounded draw
 disagrees with ``Generator.integers``, its parser converts one of
-``PROBE_NUMBERS`` to other bits than ``float()``, its table writer writes one
-of ``PROBE_FLOATS`` unlike ``"%.17g" %``, or its trace writer writes one of
-``PROBE_REPRS`` unlike ``repr`` (a broken branch or table entry, a libc that
-misrounds, or a locale whose decimal point is not '.'), ``load`` warns once
-and returns None, and rnasel anneals, parses and writes tables and traces
-in Python instead: slower, never a different answer.
+``PROBE_NUMBERS`` to other bits than ``float()``, or its table or trace
+writer writes one of ``PROBE_FLOATS`` unlike ``"%.17g" %`` (a broken branch
+or table entry, a libc that misrounds, or a locale whose decimal point is not
+'.'), ``load`` warns once and returns None, and rnasel anneals, parses and
+writes tables and traces in Python instead: slower, never a different answer.
 """
 
 from __future__ import annotations
@@ -183,27 +171,11 @@ PROBE_FLOATS = (
 )
 
 
-# Doubles for each branch of the C trace writer, whose digits are repr's:
-# zeros; 15 digits or fewer (0.5, 1.23456789012345), with a sign, with ".0"
-# in fixed form up to 1e15, either side of the fixed layout's ends 1e-4 and
-# 1e16, and rounded up into a 16th digit (1e23 is just under its power of
-# ten); 16 digits, also at a power of two (2**-60); 17 digits, also with
-# 3-digit exponents; and what it declines: the largest double (its 15 digits
-# read back as inf, which the converter leaves), a power of two whose nearest
-# 16-digit decimal does not read back (2**-957), a 16-digit tie, a number
-# under 1e-292, a subnormal, infinities and a NaN.
-PROBE_REPRS = (
-    0.0, -0.0, 0.5, 1.23456789012345, -1.5, 123.0, 1e15, 0.0001, 1e-05, 1e16, 1e23, 2 / 3, 2**-60, 0.30000000000000004,
-    3.3333333333333335e299, -2.3333333333333334e-200, 1.7976931348623157e308, 2**-957, 292584158624471.75,
-    1e-300, 5e-324, math.inf, -math.inf, math.nan,
-)
-
-
 def _probe(lib) -> None:
     """Check the C bounded draw against Generator.integers on a short stream,
-    the C parser against float() on ``PROBE_NUMBERS``, bit for bit, the C
-    formatter against ``"%.17g" %`` on ``PROBE_FLOATS`` and the C trace writer
-    against ``repr`` on each of ``PROBE_REPRS`` it writes, byte for byte."""
+    the C parser against float() on ``PROBE_NUMBERS``, bit for bit, and the C
+    formatter and trace writer against ``"%.17g" %`` on ``PROBE_FLOATS``, byte
+    for byte."""
     bounds = (1, 2, 3, 7, 10, 1000, 2**31 + 1, 2**32 - 1, 2**32) * 8
     mine, ref = np.random.default_rng(20210105), np.random.default_rng(20210105)
     bitgen = mine.bit_generator.ctypes.bit_generator
@@ -232,12 +204,16 @@ def _probe(lib) -> None:
             raise _Unavailable(f"C formatter wrote {x!r} as {mine.strip()!r}, not {ref.strip()!r}")
     if got != want:
         raise _Unavailable(f"C formatter wrote {got!r}, not {want!r}")
-    for count, x in enumerate(PROBE_REPRS):
-        column = np.array([x])
-        got = next(format_trace(lib, column, column, column, np.array([count])))
-        want = f"0,{x!r},{x!r},{x!r},{count}\n"
-        if got is not None and bytes(got) != want.encode():
-            raise _Unavailable(f"C trace writer wrote {bytes(got).decode('ascii', 'replace')!r}, not {want!r}")
+    # one block, the columns in different orders, so that a swapped column shows
+    steps = range(len(PROBE_FLOATS))
+    column = np.array(PROBE_FLOATS)
+    got = bytes(next(format_trace(lib, column, column[::-1], column, np.array(steps)))).decode("ascii", "replace")
+    rows = zip(steps, PROBE_FLOATS, PROBE_FLOATS[::-1], PROBE_FLOATS, steps)
+    want = "".join("%d,%.17g,%.17g,%.17g,%d\n" % row for row in rows)
+    if got != want:
+        lines = zip(got.splitlines(True) + [""], want.splitlines(True) + [""])
+        mine, ref = next(pair for pair in lines if pair[0] != pair[1])
+        raise _Unavailable(f"C trace writer wrote the row {mine!r}, not {ref!r}")
 
 
 def _bind(lib):
@@ -431,17 +407,15 @@ def format_rows(lib, values: np.ndarray, delim: str):
 
 # Rows of trace.csv per rnasel_format_trace call, and the bytes it writes at
 # most per row (TRACE_ROW_BYTES in _anneal.c): a 20-byte step and count,
-# three of the longest repr of a double, "-d.<16 digits>e-ddd", four commas
-# and "\n".
+# three of the longest "%.17g" of a double, four commas and "\n".
 TRACE_BLOCK = 1000
 TRACE_ROW_BYTES = 2 * 20 + 3 * (FORMAT_BYTES - 1) + 5
 
 
 def format_trace(lib, temperature, current_u, best_u, accepted):
     """Yield the rows of ``trace.csv`` written in C, ``TRACE_BLOCK`` to a
-    block: row k is ``f"{k},{temperature[k]!r},{current_u[k]!r},{best_u[k]!r},
-    {accepted[k]}\\n"``. A block is None where the writer declines one of its
-    numbers (the cases the module docstring lists).
+    block: row k is ``"%d,%.17g,%.17g,%.17g,%d\\n" % (k, temperature[k],
+    current_u[k], best_u[k], accepted[k])``.
 
     One call per block, into one buffer that every block reuses: a yielded
     memoryview is valid until the next block is asked for. The columns are
@@ -463,7 +437,6 @@ def format_trace(lib, temperature, current_u, best_u, accepted):
     pow5 = powers_of_five().ctypes.data
     for start in range(0, steps, TRACE_BLOCK):
         rows = min(TRACE_BLOCK, steps - start)
-        size = lib.rnasel_format_trace(
+        yield view[:lib.rnasel_format_trace(
             start, rows, *(column.ctypes.data + column.itemsize * start for column in columns), pow5, out_address
-        )
-        yield None if size < 0 else view[:size]
+        )]

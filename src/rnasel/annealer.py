@@ -23,7 +23,6 @@ selection or a trace.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,7 +106,8 @@ class AnnealTrace:
 
     def to_csv(self, path) -> None:
         """Write the columns as ``trace.csv``: a header, then row k as
-        ``f"{k},{temperature!r},{current_u!r},{best_u!r},{accepted_count}\\n"``."""
+        ``"%d,%.17g,%.17g,%.17g,%d\\n" % (k, temperature, current_u, best_u,
+        accepted_count)``, so each float reads back to the same double."""
         with replacing(path, "wb") as fh:
             fh.write(b"step,temperature,current_u,best_u,accepted_count\n")
             for block in _csv_blocks(self.temperature, self.current_u, self.best_u, self.accepted_count):
@@ -116,16 +116,16 @@ class AnnealTrace:
 
 def _csv_blocks(*columns):
     """The rows of ``trace.csv``, ``_ckernel.TRACE_BLOCK`` to a block: written
-    by the C library when it is loaded (``_ckernel.format_trace``), and by
-    Python where it declines a block or is not loaded; both give the same bytes."""
+    by the C library when it is loaded (``_ckernel.format_trace``), else by
+    Python; both give the same bytes."""
     lib = _ckernel.load()
-    written = itertools.repeat(None) if lib is None else _ckernel.format_trace(lib, *columns)
-    for start, block in zip(range(0, len(columns[0]), _ckernel.TRACE_BLOCK), written):
-        if block is None:
-            stop = start + _ckernel.TRACE_BLOCK
-            rows = zip(range(start, stop), *(column[start:stop].tolist() for column in columns))
-            block = "".join([f"{k},{t!r},{cur!r},{best!r},{acc}\n" for k, t, cur, best, acc in rows]).encode()
-        yield block
+    if lib is not None:
+        yield from _ckernel.format_trace(lib, *columns)
+        return
+    for start in range(0, len(columns[0]), _ckernel.TRACE_BLOCK):
+        stop = start + _ckernel.TRACE_BLOCK
+        rows = zip(range(start, stop), *(column[start:stop].tolist() for column in columns))
+        yield "".join(["%d,%.17g,%.17g,%.17g,%d\n" % row for row in rows]).encode()
 
 
 def chain_rng(seed: int, chain: int) -> np.random.Generator:

@@ -206,17 +206,17 @@ def _alpha_token(alpha: float) -> str:
     return repr(float(alpha))
 
 
-def report_groups(dend, k: int, compounds) -> str:
-    """Text listing of the k-cut. ``compounds`` maps the label of each treated
+def report_groups(groups, compounds) -> str:
+    """Text listing of a k-cut, its ``groups`` of leaf labels as
+    ``clustering.cut`` gives them. ``compounds`` maps the label of each treated
     leaf to its compound; the leaves of a compound collapse to its name when
     all of them land in one group, and every other leaf is listed by label."""
-    groups = clustering.cut(dend, k)
     homes: dict[str, set[int]] = {}
     for gi, group in enumerate(groups):
         for label in group:
             if label in compounds:
                 homes.setdefault(compounds[label], set()).add(gi)
-    lines = [f"k={k} groups:"]
+    lines = [f"k={len(groups)} groups:"]
     for gi, group in enumerate(groups, start=1):
         shown = []
         for label in group:
@@ -312,8 +312,8 @@ def run_pipeline(config: RunConfig) -> int:
             entry["dendrogram"]["svg"] = "dendrogram.svg"
         if config.cut_k is not None:
             k = min(config.cut_k, dend.n_leaves)
-            _write_text(cell_dir / f"groups_k{k}.txt", report_groups(dend, k, compounds))
             entry["groups"] = clustering.cut(dend, k)
+            _write_text(cell_dir / f"groups_k{k}.txt", report_groups(entry["groups"], compounds))
             entry["groups_file"] = f"groups_k{k}.txt"
         return entry
 

@@ -96,30 +96,26 @@ def naive_u(context: ObjectiveContext, indices, params: ObjectiveParams) -> floa
 
 
 def naive_average_linkage(d: DissimilarityMatrix) -> Dendrogram:
-    """Textbook agglomeration recomputing all cross-cluster means each step."""
+    """Textbook agglomeration recomputing all cross-cluster means each step:
+    each mean is the exact sum (``math.fsum``) over the member pairs divided
+    by their count, and ties go to the smaller (low label, high label) pair."""
     s = d.n_samples
     if s > _MAX_ORACLE_SAMPLES:
         raise ParameterError(f"naive clustering capped at {_MAX_ORACLE_SAMPLES} samples, got {s}")
-    clusters: dict[int, list[int]] = {i: [i] for i in range(s)}
+    rows = d.d.tolist()
+    # cluster id -> (its members, its smallest label), the label found once
+    clusters: dict[int, tuple[list[int], str]] = {i: ([i], d.labels[i]) for i in range(s)}
     merges = []
     for m in range(s - 1):
-        ids = sorted(clusters)
-        best_val = None
-        best_key = None
-        best_pair = None
-        for xi in range(len(ids)):
-            for yi in range(xi + 1, len(ids)):
-                a, b = ids[xi], ids[yi]
-                val = float(np.mean(d.d[np.ix_(clusters[a], clusters[b])]))
-                la = min(d.labels[i] for i in clusters[a])
-                lb = min(d.labels[i] for i in clusters[b])
-                key = (min(la, lb), max(la, lb))
-                if best_val is None or val < best_val or (val == best_val and key < best_key):
-                    best_val, best_key, best_pair = val, key, (a, b)
-        a, b = best_pair
-        la = min(d.labels[i] for i in clusters[a])
-        lb = min(d.labels[i] for i in clusters[b])
-        left, right = (a, b) if la <= lb else (b, a)
-        merges.append((left, right, best_val))
-        clusters[s + m] = clusters.pop(a) + clusters.pop(b)
+        best = None
+        for a, b in combinations(sorted(clusters), 2):
+            (a_members, la), (b_members, lb) = clusters[a], clusters[b]
+            mean = math.fsum(rows[i][j] for i in a_members for j in b_members) / (len(a_members) * len(b_members))
+            candidate = (mean, min(la, lb), max(la, lb))
+            if best is None or candidate < best[0]:
+                best = candidate, a, b
+        (mean, low, _), a, b = best
+        left, right = (a, b) if clusters[a][1] == low else (b, a)
+        merges.append((left, right, mean))
+        clusters[s + m] = (clusters.pop(a)[0] + clusters.pop(b)[0], low)
     return Dendrogram(d.labels, tuple(merges))

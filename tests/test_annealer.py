@@ -361,8 +361,9 @@ class TestRun:
         assert float(first[2]) == trace.current_u[0]
 
     def test_trace_csv_exact_text(self, tmp_path):
-        # each float is written as repr of a Python float: 0.1 and 1e-320 read
-        # differently under %.17g, and 1.0 under repr of a numpy scalar
+        # each float is written as "%.17g" % x: 17 significant digits, so 0.1
+        # reads 0.10000000000000001, trailing zeros dropped, so 1.0 reads 1,
+        # and the subnormal 1e-320 as the first 17 digits of its exact value
         trace = AnnealTrace(
             temperature=np.array([1.0, 0.1 + 0.2]),
             current_u=np.array([0.1, 1e-320]),
@@ -376,8 +377,8 @@ class TestRun:
         trace.to_csv(path)
         assert path.read_text(encoding="utf-8") == (
             "step,temperature,current_u,best_u,accepted_count\n"
-            "0,1.0,0.1,1e-320,0\n"
-            "1,0.30000000000000004,1e-320,0.3333333333333333,7\n"
+            "0,1,0.10000000000000001,9.9998886718268301e-321,0\n"
+            "1,0.30000000000000004,9.9998886718268301e-321,0.33333333333333331,7\n"
         )
 
     @pytest.mark.parametrize("library", [True, False], ids=["C", "Python"])
@@ -425,5 +426,5 @@ class TestRun:
             trace.to_csv(path)
             rows = zip(*(c.tolist() for c in (temperature, trace.current_u, trace.best_u, trace.accepted_count)))
             assert path.read_text(encoding="utf-8") == "step,temperature,current_u,best_u,accepted_count\n" + "".join(
-                f"{k},{t!r},{cur!r},{best!r},{acc}\n" for k, (t, cur, best, acc) in enumerate(rows)
+                "%d,%.17g,%.17g,%.17g,%d\n" % (k, *row) for k, row in enumerate(rows)
             )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rnasel.cli import RunConfig, build_parser, main, report_groups, resolve_config
-from rnasel.clustering import average_linkage, dissimilarity
+from rnasel.clustering import average_linkage, cut, dissimilarity
 from rnasel.ingest import load_matrix, load_meta, load_weights
 from rnasel.model import PairWeights
 from rnasel.objective import ObjectiveContext, ObjectiveParams, eval_u
@@ -406,14 +406,14 @@ class TestReportGroups:
         return average_linkage(dissimilarity(labels, profiles))
 
     def test_single_group_lists_all_compounds(self):
-        text = report_groups(self._dend(), 1, self.COMPOUNDS)
+        text = report_groups(cut(self._dend(), 1), self.COMPOUNDS)
         assert "group 1: cmpA, cmpB" in text
 
     def test_singletons_keep_replicate_labels(self):
-        text = report_groups(self._dend(), 4, self.COMPOUNDS)
+        text = report_groups(cut(self._dend(), 4), self.COMPOUNDS)
         assert "cmpA_1" in text and "cmpA_2" in text
 
     def test_two_groups_collapse_replicates(self):
-        text = report_groups(self._dend(), 2, self.COMPOUNDS)
+        text = report_groups(cut(self._dend(), 2), self.COMPOUNDS)
         assert "group 1: cmpA" in text
         assert "group 2: cmpB" in text

@@ -34,7 +34,7 @@ GOLDEN = {
     "out/n4_alpha0.0/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
     "out/n4_alpha0.0/scatter.svg": "d11285de86b318ff89d7128f9931e3b64f9f50e9994a012f97a0370924699442",
     "out/n4_alpha0.0/selection.json": "ac0950850eabfbdb4b3328330bfa3aae09a770e8c24c9671c5c8c13fac732059",
-    "out/n4_alpha0.0/trace.csv": "1ad1cc95fdb5074081450fd655a82ecd90a8a34900deaadd8b2b7606b3632433",
+    "out/n4_alpha0.0/trace.csv": "08fda531a51a8c306f6e4793de84d133aeab74eab0c0879d101d27226aed7aa6",
     "out/n4_alpha0.2/dendrogram.json": "d22e9b4ca9cd3169e8384d9dba961550232f26e6b2be582e9c0ddaffbe9a752d",
     "out/n4_alpha0.2/dendrogram.nwk": "139dc066fc089638b02c1c36ec41da8adcd5d56cc9d90ddb0c879da3e578c67b",
     "out/n4_alpha0.2/dendrogram.svg": "e59dbacd44ac0e2bb37218cb68c6e4c436ffa010e0e12202860845730957c388",
@@ -42,7 +42,7 @@ GOLDEN = {
     "out/n4_alpha0.2/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
     "out/n4_alpha0.2/scatter.svg": "4a017f130c50445e89d2fd471260315bdd9c2664537b6c94ab3192a42592b0b9",
     "out/n4_alpha0.2/selection.json": "8e3ce6182941e9fa26c2117477f77563422271973b39bee238a433a4ce4d329c",
-    "out/n4_alpha0.2/trace.csv": "295d16c13b03ce2ea4b26a205fceb18abda955add3dd47e819ee3855a6fea4f4",
+    "out/n4_alpha0.2/trace.csv": "095ed866e96038cb4649f5422f1e377f07bde8812fc7e0b29b858d3440d38370",
     "out/n8_alpha0.0/dendrogram.json": "b0e660c650e96fe77e8fd1c73c9b00e79844f6b253a8f167ca16b11ecc65c090",
     "out/n8_alpha0.0/dendrogram.nwk": "0f2332fa1d57b9614b0c0fd72a013988813df53d72824db4fc1ca53b4c6efc53",
     "out/n8_alpha0.0/dendrogram.svg": "c6199daefd3f65ebe314579c649386fd4eb83ef14adf5a336a38e70f8b602a11",
@@ -50,7 +50,7 @@ GOLDEN = {
     "out/n8_alpha0.0/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
     "out/n8_alpha0.0/scatter.svg": "99b1402b55852fcf8f29b90209851d9639c4354bc6c42feb37b24de8754187bf",
     "out/n8_alpha0.0/selection.json": "82bf6de34c0c7ff9f2b4e14fc7bf538f539bf1658c13a948752649b876380f3a",
-    "out/n8_alpha0.0/trace.csv": "6922a15dbcf8773bb82808a7f600d5dde5fc9f44dc56a19d13a4e45ec7ff0ee7",
+    "out/n8_alpha0.0/trace.csv": "97a27d7b6ae2707885a2f31f2826c2d567be1ad2bff7a2bb05853c3bf2f7bd6a",
     "out/n8_alpha0.2/dendrogram.json": "ee7fcb3beb227ee77d426a1894ba62e3cf5b20dd76b59ddc6e3bf5f097e8e3e8",
     "out/n8_alpha0.2/dendrogram.nwk": "4dc84ac6d7522ed103780513ee15174f1795df027a761b3a71e0c9d781f87a68",
     "out/n8_alpha0.2/dendrogram.svg": "16c21caa4e32c11dccdb03dbd6bc6e5bf87c3f9a5880dd781cb1c051bfe3b72b",
@@ -58,7 +58,7 @@ GOLDEN = {
     "out/n8_alpha0.2/groups_k2.txt": "f74994f3020bb9aef09e4812c687fa618255af9ae693c197555c2cab13cd1dcc",
     "out/n8_alpha0.2/scatter.svg": "177b3546c08f9b7ce4c3670280dcc179bedf0f7b2d8ae051771149dda11b81ec",
     "out/n8_alpha0.2/selection.json": "740002b69d06a1f15df95f637a56dd30366f0c3c2f5c76d3648ccda2b4291d3e",
-    "out/n8_alpha0.2/trace.csv": "1755d9c247fe04451c28d15ab75d2d6a05b05a5145884f455d6ef5e67bde6527",
+    "out/n8_alpha0.2/trace.csv": "3ab329dc3fedad0d7b4f89432d7ca71364ddbdd2f90810d6c039aae217889854",
     "out/summary.json": "d3ed8246c843a5b49586586f29121215011fb3c9d7c1ace50f6d012111f837b2",
 }
 
@@ -90,7 +90,7 @@ RESTARTS_GOLDEN = {
     "out/n8_alpha0.2/dissimilarity.tsv": "0de0df495b2e029dbdb007d33bc664d3730864b8652375398af020a39a902a4e",
     "out/n8_alpha0.2/scatter.svg": "b76cf52ffe1dc01252a3ca32c7ff4f30adb0d25abd11e6180545ddb2f44ef22c",
     "out/n8_alpha0.2/selection.json": "3e46eaf2c81a81167d7cea71dc9198c134995cb1ac3ab378b72330da80e47948",
-    "out/n8_alpha0.2/trace.csv": "be45e6e77955d7bc47c67b5f73aae5f23034c45a6156accf3945a048804d5efc",
+    "out/n8_alpha0.2/trace.csv": "043ab6126842a6af366fc606fb3dcb28cbb6563f1c097ba737328ffdada9c0fe",
     "out/summary.json": "6783dab83d3f6510b7759c411c6e7a9d5e5158dfdbdd38269d961481615a390e",
 }
 
