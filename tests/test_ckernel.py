@@ -298,6 +298,22 @@ def test_trace_writer_that_misformats_is_not_used(fresh_loader, monkeypatch):
 
 
 @needs_compiler
+def test_trace_writer_that_swaps_columns_is_not_used(fresh_loader, monkeypatch):
+    # the probe's current_u column runs backwards, so a writer that mixes it
+    # up with temperature or best_u differs on the first row
+    format_trace = _ckernel.format_trace
+
+    def swapped(lib, temperature, current_u, best_u, accepted):
+        return format_trace(lib, temperature, best_u, current_u, accepted)
+
+    monkeypatch.setattr(_ckernel, "format_trace", swapped)
+    with pytest.warns(
+        _ckernel.KernelFallbackWarning, match=r"C trace writer wrote the row '0,0,0,nan,0\\n', not '0,0,nan,0,0\\n'"
+    ):
+        assert _ckernel.load() is None
+
+
+@needs_compiler
 def test_trace_csv_writes_g17_of_adversarial_columns(tmp_path, monkeypatch):
     # hard numbers over several blocks, inf, NaN and subnormals among them:
     # the C writer and Python write every one as "%.17g" does
